@@ -580,8 +580,8 @@ fn main() {
     // `qsim::simd::set_enabled` around otherwise identical runs — so the
     // `speedup_simd_vs_scalar` column is a same-machine, same-binary ratio
     // (the only quantity the CI gate reads; absolute ns/round are not
-    // comparable across hosts). In non-`simd` builds or on hosts without
-    // AVX2 the toggle clamps to the scalar path and the ratio sits at ~1.0.
+    // comparable across hosts). On hosts without AVX2 the toggle clamps to
+    // the scalar path and the ratio sits at ~1.0.
     // Accept counts must be bit-identical across the toggle — that is the
     // vectorisation contract, and each row asserts it before reporting.
     struct SimdRow {
@@ -917,9 +917,8 @@ fn main() {
     // engine ≥ 4× over the single-lane scalar walk (the PR-5 engine shape —
     // the lane restructure speeds the scalar path up too, so the ratio
     // credits both the layout and the instruction set), and the compiled
-    // mixed-proof kernels ≥ 2× AVX2-vs-scalar. Informational when the
-    // binary lacks the `simd` feature or the host lacks AVX2 — CI runs the
-    // gated configuration explicitly.
+    // mixed-proof kernels ≥ 2× AVX2-vs-scalar. Informational when the host
+    // lacks AVX2 (every `x86_64` build carries the AVX2 executors).
     let simd_row = |name: &str| -> &SimdRow {
         simd_rows
             .iter()
@@ -934,7 +933,7 @@ fn main() {
     let simd_mixed_meets = simd_mixed_speedup >= 2.0;
     let simd_verdict = |meets: bool| {
         if !simd_available {
-            "n/a (no AVX2 in this build)"
+            "n/a (no AVX2 on this host)"
         } else if meets {
             "OK"
         } else {

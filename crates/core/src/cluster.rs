@@ -65,27 +65,6 @@ use crate::trials::{block_len, stream_rng, BlockOutcomes, BLOCK_TRIALS};
 // Program specs: wire-encodable round programs
 // ---------------------------------------------------------------------------
 
-/// Internal representation of a [`ProgramSpec`]; kept private so the
-/// `pub(crate)` plan/role types never leak through the public enum.
-#[derive(Clone, Debug)]
-enum Repr {
-    Chain {
-        k: usize,
-        mq: u64,
-        tables: Vec<f64>,
-    },
-    Relay {
-        boundaries: Vec<usize>,
-        mq: u64,
-        segments: Vec<Vec<f64>>,
-    },
-    Tree {
-        mq: u64,
-        schedule: Vec<NodeId>,
-        roles: Vec<TreeRole>,
-    },
-}
-
 /// A wire-encodable description of a compiled round program.
 ///
 /// The encoding is a single whitespace-tokenised line; every `f64` table
@@ -94,9 +73,13 @@ enum Repr {
 /// original program in another process. This is what the supervisor sends
 /// over the control channel (`program <tokens…>`) at launch, after a
 /// restart, and on a [`ChurnEvent::Reprogram`].
+///
+/// The spec holds the program itself: [`ProgramSpec::decode`] checks the
+/// wire form and builds the program once, so a decoded spec is always
+/// runnable.
 #[derive(Clone, Debug)]
 pub struct ProgramSpec {
-    repr: Repr,
+    program: AnyProgram,
 }
 
 /// Any of the suite's three per-node program shapes, decoded from a
@@ -227,72 +210,57 @@ impl ProgramSpec {
     /// Captures a chain program (EQ-path, orthogonality chain, …).
     pub fn from_chain(p: &ChainNetProgram) -> Self {
         ProgramSpec {
-            repr: Repr::Chain {
-                k: p.plan.num_intermediate(),
-                mq: p.message_qubits,
-                tables: p.plan.tables().to_vec(),
-            },
+            program: AnyProgram::Chain(p.clone()),
         }
     }
 
     /// Captures a relay-point program with its segment boundaries.
     pub fn from_relay(p: &RelayNetProgram) -> Self {
         ProgramSpec {
-            repr: Repr::Relay {
-                boundaries: p.boundaries(),
-                mq: p.message_qubits,
-                segments: p.segments.iter().map(|s| s.tables().to_vec()).collect(),
-            },
+            program: AnyProgram::Relay(p.clone()),
         }
     }
 
     /// Captures an EQ-tree program (roles + post-order schedule).
     pub fn from_tree(p: &TreeNetProgram) -> Self {
         ProgramSpec {
-            repr: Repr::Tree {
-                mq: p.message_qubits,
-                schedule: p.schedule().to_vec(),
-                roles: p.roles.clone(),
-            },
+            program: AnyProgram::Tree(p.clone()),
         }
     }
 
     /// Serialises the spec to its single-line token form.
     pub fn encode(&self) -> String {
-        match &self.repr {
-            Repr::Chain { k, mq, tables } => {
-                let mut out = format!("chain {k} {mq}");
-                for &v in tables {
+        match &self.program {
+            AnyProgram::Chain(p) => {
+                let mut out = format!("chain {} {}", p.plan.num_intermediate(), p.message_qubits);
+                for &v in p.plan.tables() {
                     push_f64(&mut out, v);
                 }
                 out
             }
-            Repr::Relay {
-                boundaries,
-                mq,
-                segments,
-            } => {
-                let mut out = format!("relay {} {mq}", segments.len());
-                for b in boundaries {
+            AnyProgram::Relay(p) => {
+                let mut out = format!("relay {} {}", p.segments.len(), p.message_qubits);
+                for b in p.boundaries() {
                     out.push_str(&format!(" {b}"));
                 }
-                for seg in segments {
-                    for &v in seg {
+                for seg in &p.segments {
+                    for &v in seg.tables() {
                         push_f64(&mut out, v);
                     }
                 }
                 out
             }
-            Repr::Tree {
-                mq,
-                schedule,
-                roles,
-            } => {
-                let mut out = format!("tree {} {mq} {}", roles.len(), schedule.len());
-                for s in schedule {
+            AnyProgram::Tree(p) => {
+                let mut out = format!(
+                    "tree {} {} {}",
+                    p.roles.len(),
+                    p.message_qubits,
+                    p.schedule().len()
+                );
+                for s in p.schedule() {
                     out.push_str(&format!(" {s}"));
                 }
-                for role in roles {
+                for role in &p.roles {
                     match role {
                         TreeRole::Unused => out.push_str(" u"),
                         TreeRole::Leaf { parent } => out.push_str(&format!(" l {parent}")),
@@ -331,14 +299,17 @@ impl ProgramSpec {
     }
 
     fn decode_tokens(tok: &mut Tokens<'_>) -> Result<ProgramSpec, String> {
-        let repr = match tok.expect()? {
+        let program = match tok.expect()? {
             "chain" => {
                 let k = tok.count("chain length")?;
                 let mq = tok.u64()?;
                 let tables = (0..4 * (k + 1))
                     .map(|_| tok.f64_bits())
                     .collect::<Result<Vec<_>, _>>()?;
-                Repr::Chain { k, mq, tables }
+                AnyProgram::Chain(
+                    ChainNetProgram::new(ChainRoundPlan::from_tables(tables, k))
+                        .with_message_qubits(mq),
+                )
             }
             "relay" => {
                 let nseg = tok.count("relay segment")?;
@@ -346,6 +317,12 @@ impl ProgramSpec {
                 let boundaries = (0..=nseg)
                     .map(|_| tok.usize())
                     .collect::<Result<Vec<_>, _>>()?;
+                // Node roles exist only for a path that starts at node 0 and
+                // has at least one segment; strict increase is checked per
+                // segment below.
+                if nseg == 0 || boundaries[0] != 0 {
+                    return Err("relay needs a segment and boundaries from node 0".to_string());
+                }
                 let mut segments = Vec::with_capacity(nseg);
                 for i in 0..nseg {
                     let ki = boundaries[i + 1]
@@ -356,17 +333,14 @@ impl ProgramSpec {
                             "relay segment length {ki} exceeds wire cap {MAX_WIRE_COUNT}"
                         ));
                     }
-                    segments.push(
-                        (0..4 * (ki + 1))
-                            .map(|_| tok.f64_bits())
-                            .collect::<Result<Vec<_>, _>>()?,
-                    );
+                    let tables = (0..4 * (ki + 1))
+                        .map(|_| tok.f64_bits())
+                        .collect::<Result<Vec<_>, _>>()?;
+                    segments.push(ChainRoundPlan::from_tables(tables, ki));
                 }
-                Repr::Relay {
-                    boundaries,
-                    mq,
-                    segments,
-                }
+                AnyProgram::Relay(
+                    RelayNetProgram::from_segments(segments, &boundaries).with_message_qubits(mq),
+                )
             }
             "tree" => {
                 let n = tok.count("tree role")?;
@@ -418,49 +392,16 @@ impl ProgramSpec {
                         t => return Err(format!("bad role token {t:?}")),
                     });
                 }
-                Repr::Tree {
-                    mq,
-                    schedule,
-                    roles,
-                }
+                AnyProgram::Tree(TreeNetProgram::new(roles, schedule, mq))
             }
             t => return Err(format!("unknown program kind {t:?}")),
         };
-        Ok(ProgramSpec { repr })
+        Ok(ProgramSpec { program })
     }
 
-    /// Compiles the spec back into a runnable program.
+    /// The runnable program the spec describes.
     pub fn instantiate(&self) -> AnyProgram {
-        match &self.repr {
-            Repr::Chain { k, mq, tables } => AnyProgram::Chain(
-                ChainNetProgram::new(ChainRoundPlan::from_tables(tables.clone(), *k))
-                    .with_message_qubits(*mq),
-            ),
-            Repr::Relay {
-                boundaries,
-                mq,
-                segments,
-            } => {
-                let segs = segments
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        ChainRoundPlan::from_tables(
-                            t.clone(),
-                            boundaries[i + 1] - boundaries[i] - 1,
-                        )
-                    })
-                    .collect();
-                AnyProgram::Relay(
-                    RelayNetProgram::from_segments(segs, boundaries).with_message_qubits(*mq),
-                )
-            }
-            Repr::Tree {
-                mq,
-                schedule,
-                roles,
-            } => AnyProgram::Tree(TreeNetProgram::new(roles.clone(), schedule.clone(), *mq)),
-        }
+        self.program.clone()
     }
 }
 

@@ -52,7 +52,7 @@
 
 use crate::chain::ChainRoundPlan;
 use crate::relay::RelayRoundPlan;
-use crate::trials::{self, BlockOutcomes, OutcomeReport, OutcomeSampler};
+use crate::trials::{self, BatchSampler, BlockOutcomes, BlockRng, OutcomeReport};
 use netsim::transport::{robust_recv, robust_send};
 use netsim::{
     ChannelTransport, CostTracker, Envelope, FaultCause, FaultPlan, FaultReport, FaultyTransport,
@@ -831,11 +831,12 @@ impl RoundProgram for TreeNetProgram {
 // Batched fault-sweep sampling
 // ---------------------------------------------------------------------------
 
-/// An [`OutcomeSampler`] running a [`RoundProgram`] over a faulty channel
-/// transport: each pool worker owns one transport instance (scratch), each
-/// trial draws a fresh fault salt from its block stream, so outcomes —
-/// accepts, rejects, aborts, message counts and the transcript digest — are
-/// bit-identical at any worker count.
+/// A [`BatchSampler`] of [`BlockOutcomes`] running a [`RoundProgram`] over a
+/// faulty channel transport: each pool worker owns one transport instance
+/// (scratch), each trial draws a fresh fault salt from its block stream
+/// ([`BlockRng::block_rng`]), so outcomes — accepts, rejects, aborts,
+/// message counts and the transcript digest — are bit-identical at any
+/// worker count.
 pub struct TransportSampler<'a, P: RoundProgram> {
     program: &'a P,
     plan: FaultPlan,
@@ -853,7 +854,7 @@ impl<'a, P: RoundProgram> TransportSampler<'a, P> {
     }
 }
 
-impl<P: RoundProgram> OutcomeSampler for TransportSampler<'_, P> {
+impl<P: RoundProgram> BatchSampler<BlockOutcomes> for TransportSampler<'_, P> {
     // Each worker slot owns its transport exclusively, so the unsynchronised
     // local channel is safe — and roughly halves the zero-fault round cost
     // relative to the lock-per-mailbox shared transport.
@@ -870,8 +871,9 @@ impl<P: RoundProgram> OutcomeSampler for TransportSampler<'_, P> {
         &self,
         trials: u64,
         scratch: &mut Self::Scratch,
-        rng: &mut StdRng,
+        stream: &BlockRng,
     ) -> BlockOutcomes {
+        let rng = &mut stream.block_rng();
         let mut out = BlockOutcomes::default();
         for _ in 0..trials {
             let salt = rng.random::<u64>();

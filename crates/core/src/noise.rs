@@ -42,8 +42,7 @@ use crate::adversary::{plan_acceptance, swap_accept};
 use crate::chain::{ChainRoundPlan, SeparableChainProof, SwapTestChain};
 use crate::net::{mix, run_round, NodeIo, RoundProgram};
 use crate::trials::{
-    default_lane_width, BatchSampler, BlockOutcomes, BlockRng, LaneBatched, OutcomeSampler,
-    MAX_LANES,
+    default_lane_width, BatchSampler, BlockOutcomes, BlockRng, LaneBatched, MAX_LANES,
 };
 use netsim::{
     FaultCause, FaultPlan, FaultyTransport, LocalChannelTransport, NodeId, RetryPolicy,
@@ -755,12 +754,12 @@ impl RoundProgram for NoisyChainProgram<'_> {
     }
 }
 
-/// [`OutcomeSampler`] running noisy chain rounds over the fault-injecting
-/// transport: per trial, a fault salt is drawn first (the exact schedule of
-/// [`crate::net::TransportSampler`] — a quiet plan therefore reproduces its
-/// outcomes and transcript digest bit-exactly), then the trajectory's
-/// branch draws, then the round executes over the worker's
-/// [`FaultyTransport`].
+/// [`BatchSampler`] of [`BlockOutcomes`] running noisy chain rounds over the
+/// fault-injecting transport: per trial, a fault salt is drawn first (the
+/// exact schedule of [`crate::net::TransportSampler`] — a quiet plan
+/// therefore reproduces its outcomes and transcript digest bit-exactly),
+/// then the trajectory's branch draws, then the round executes over the
+/// worker's [`FaultyTransport`].
 pub struct NoisyTransportSampler<'a> {
     sampler: &'a NoisyChainSampler,
     faults: FaultPlan,
@@ -776,7 +775,7 @@ pub struct NoisyTransportScratch {
     schedule: Vec<NodeId>,
 }
 
-impl OutcomeSampler for NoisyTransportSampler<'_> {
+impl BatchSampler<BlockOutcomes> for NoisyTransportSampler<'_> {
     type Scratch = NoisyTransportScratch;
 
     fn scratch(&self) -> Self::Scratch {
@@ -794,8 +793,9 @@ impl OutcomeSampler for NoisyTransportSampler<'_> {
         &self,
         trials: u64,
         scratch: &mut Self::Scratch,
-        rng: &mut StdRng,
+        stream: &BlockRng,
     ) -> BlockOutcomes {
+        let rng = &mut stream.block_rng();
         let mut out = BlockOutcomes::default();
         for _ in 0..trials {
             let salt = rng.random::<u64>();

@@ -14,11 +14,14 @@
 //!   queue; a full queue sheds with [`SubmitError::Overloaded`] instead of
 //!   growing without bound. Queue memory is `O(queue_capacity)` always.
 //! * **Deadlines → partial reports** — each job may carry a deadline,
-//!   measured from *submission* (queue wait counts). The engine
-//!   ([`crate::trials::run_trials_observed`]) checks it at 8192-trial block
-//!   boundaries and an expired job returns a *partial* [`JobReport`] with
-//!   its Wilson interval over the trials actually sampled, freeing the
-//!   worker for the next job.
+//!   measured from *submission* (queue wait counts). A job samples through
+//!   the trial engine's block driver
+//!   ([`crate::trials::run_trials_observed`]) at its share of the pool's
+//!   width ([`qsim::pool::worker_count`] over the service's worker count,
+//!   at least 1), which issues no 8192-trial block once the deadline has
+//!   passed; an expired job returns a *partial* [`JobReport`] over the
+//!   contiguous prefix of finished blocks, with its Wilson interval,
+//!   freeing the worker for the next job.
 //! * **Crash-safe jobs** — with a journal configured, admitted jobs and
 //!   completed full blocks are appended to an append-only line journal.
 //!   [`Service::start`] replays it: finished jobs stay queryable, unfinished
@@ -1157,6 +1160,17 @@ fn recover(
     stats
         .submitted
         .fetch_add(st.jobs.len() as u64, Ordering::Relaxed);
+    // Jobs that finished before the restart keep their terminal counters, so
+    // `submitted == completed + partial + failed + live` holds across it.
+    for job in st.jobs.values() {
+        let counter = match &job.status {
+            JobStatus::Done(r) if r.partial => &stats.partial,
+            JobStatus::Done(_) => &stats.completed,
+            JobStatus::Failed(_) => &stats.failed,
+            _ => continue,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
     st.queue.extend(unfinished);
     Ok(())
 }
@@ -1253,19 +1267,23 @@ fn run_job(shared: &Shared, id: JobId, spec: &JobSpec, submitted: Instant) -> Jo
         _ => None,
     };
     let seed = spec.seed;
+    // The service's workers share the pool's width between them, so
+    // `workers` concurrent jobs keep at most the pool's threads busy.
+    let width = (qsim::pool::worker_count() / shared.cfg.workers.max(1)).max(1);
     let report = run_trials_observed(
         plan.as_ref(),
         spec.trials,
         seed,
+        width,
         deadline,
-        &mut |b| {
+        &|b| {
             let hit = shared.lock().memo.get(&(key, seed, b)).copied();
             if hit.is_some() {
                 shared.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
             }
             hit
         },
-        &mut |b, len, accepts| {
+        &|b, len, accepts| {
             if chaos_block == Some(b) {
                 panic!("chaos: injected panic at block {b}");
             }

@@ -7,9 +7,22 @@
 //! `simulate_round` ran trials serially, one round at a time, re-preparing
 //! proof states and reallocating scratch per round. Here the per-instance
 //! preparation is hoisted into a *round plan* (see
-//! [`crate::chain::ChainRoundPlan`] and friends), and a shared driver splits
+//! [`crate::chain::ChainRoundPlan`] and friends), and one block driver splits
 //! the trials into fixed-size blocks dispatched over the persistent
 //! [`qsim::pool`] workers.
+//!
+//! # One driver, one sampler trait
+//!
+//! Every runner here — [`run_trials_with_workers`], [`run_trials_observed`],
+//! [`run_outcome_trials_with_workers`] — and every caller above them
+//! ([`crate::net::sample_transport_rounds`], the served jobs of
+//! [`crate::service`]) goes through the same private driver. It
+//! alone splits trials into blocks, clamps the worker count, builds the
+//! per-slot scratch, dispatches over the pool (inline and in order at
+//! width 1), applies the cache / observe / deadline hooks and folds the
+//! per-block tallies. Samplers implement one trait, [`BatchSampler`], whose
+//! tally defaults to a `u64` accept count; transport-backed rounds tally
+//! [`BlockOutcomes`] instead.
 //!
 //! # Determinism across worker counts (and lane widths)
 //!
@@ -17,7 +30,7 @@
 //! *from the block index alone*, handed to samplers as a [`BlockRng`]
 //! coordinate with two stream families:
 //!
-//! * [`BlockRng::block_rng`] — the legacy sequential per-block stream
+//! * [`BlockRng::block_rng`] — the sequential per-block stream
 //!   (`StdRng::seed_from_u64(seed ⊕ (block+1)·φ)` with φ the 64-bit golden
 //!   ratio), used by samplers that walk trials one at a time (the
 //!   mixed-proof chain sampler, transport-backed outcome rounds);
@@ -27,10 +40,10 @@
 //!   coordinates, so its outcome cannot depend on how trials are grouped
 //!   into lanes.
 //!
-//! Blocks are claimed dynamically by workers, but a block's accept count
-//! depends only on `(seed, block index, plan)`, and the total is a
-//! commutative sum — so the [`TrialReport`] accept count is **bit-identical
-//! at any worker count** (1, 2, 4, 8, …) *and*, for [`LaneBatched`] plans,
+//! Blocks are claimed dynamically by workers, but a block's tally depends
+//! only on `(seed, block index, plan)`, and the fold is commutative — so
+//! the [`TrialReport`] accept count is **bit-identical at any worker count**
+//! (1, 2, 4, 8, …) *and*, for [`LaneBatched`] plans,
 //! at any lane width and under either the scalar or the AVX2 executors —
 //! all pinned by the integration suite. (Changing [`BLOCK_TRIALS`] or a
 //! stream derivation changes accept counts *across versions*; the contract
@@ -42,10 +55,10 @@
 //! well: [`LaneBatched::sample_lane_block`] runs a lane batch of `L` trials
 //! in lockstep over structure-of-arrays buffers (one coin word and one
 //! acceptance accumulator per lane), which the [`qsim::simd`] executors
-//! process four lanes per instruction under the `simd` feature — with the
-//! scalar lane path always compiled as the oracle. [`BatchSampler`] is
-//! blanket-forwarded per plan at [`default_lane_width`]; tests pin other
-//! widths via [`with_lane_width`].
+//! process four lanes per instruction on an AVX2 host (chosen at run
+//! time) — with the scalar lane path always compiled as the oracle.
+//! [`BatchSampler`] is blanket-forwarded per plan at [`default_lane_width`];
+//! tests pin other widths via [`with_lane_width`].
 //!
 //! # Scratch reuse
 //!
@@ -60,7 +73,7 @@
 use qsim::random::CounterRng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Trials per RNG-stream block. Fixed — it is part of the determinism
@@ -209,21 +222,22 @@ impl BlockRng {
     }
 }
 
-/// A prepared sampler that can run a block of protocol rounds.
+/// A prepared sampler that can run a block of protocol rounds, tallying them
+/// as `T`: the accept count (`u64`, the default) or, for transport-backed
+/// rounds, the three-way [`BlockOutcomes`].
 ///
-/// Implementations must make a block's accept count a pure function of
+/// Implementations must make a block's tally a pure function of
 /// `(self, trials, stream)` — independent of the worker slot — to preserve
 /// the engine's determinism guarantee.
-pub trait BatchSampler: Sync {
+pub trait BatchSampler<T = u64>: Sync {
     /// Per-worker scratch, built once per slot and reused across blocks.
     type Scratch: Send;
 
     /// Builds one scratch arena.
     fn scratch(&self) -> Self::Scratch;
 
-    /// Runs `trials` rounds drawing from `stream`, returning the accept
-    /// count.
-    fn sample_block(&self, trials: u64, scratch: &mut Self::Scratch, stream: &BlockRng) -> u64;
+    /// Runs `trials` rounds drawing from `stream`, returning their tally.
+    fn sample_block(&self, trials: u64, scratch: &mut Self::Scratch, stream: &BlockRng) -> T;
 }
 
 /// Hard upper bound on the lane width of [`LaneBatched::sample_lane_block`]:
@@ -291,6 +305,16 @@ impl<S: LaneBatched> BatchSampler for LanePinned<'_, S> {
     }
 }
 
+/// `num / den`, or 0 when `den` is 0 (an empty or instant run): the rate
+/// and timing figures of both report types.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den == 0.0 {
+        0.0
+    } else {
+        num / den
+    }
+}
+
 /// The outcome of a batched trial run.
 #[derive(Clone, Debug)]
 pub struct TrialReport {
@@ -309,11 +333,7 @@ pub struct TrialReport {
 impl TrialReport {
     /// Empirical acceptance rate `accepts / trials` (0 when empty).
     pub fn acceptance_rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.accepts as f64 / self.trials as f64
-        }
+        ratio(self.accepts as f64, self.trials as f64)
     }
 
     /// Empirical rejection rate `1 − acceptance`.
@@ -340,21 +360,12 @@ impl TrialReport {
 
     /// Nanoseconds of wall clock per sampled round.
     pub fn ns_per_round(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.elapsed.as_nanos() as f64 / self.trials as f64
-        }
+        ratio(self.elapsed.as_nanos() as f64, self.trials as f64)
     }
 
     /// Sampled rounds per second of wall clock.
     pub fn rounds_per_sec(&self) -> f64 {
-        let ns = self.ns_per_round();
-        if ns == 0.0 {
-            0.0
-        } else {
-            1e9 / ns
-        }
+        ratio(1e9, self.ns_per_round())
     }
 }
 
@@ -362,12 +373,9 @@ impl TrialReport {
 /// feature is enabled, serial otherwise. Explicit widths are always
 /// available through [`run_trials_with_workers`].
 pub fn default_workers() -> usize {
-    #[cfg(feature = "parallel")]
-    {
+    if cfg!(feature = "parallel") {
         qsim::pool::worker_count()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
+    } else {
         1
     }
 }
@@ -387,110 +395,49 @@ pub fn run_trials_with_workers<S: BatchSampler>(
     seed: u64,
     workers: usize,
 ) -> TrialReport {
-    let start = Instant::now();
-    let nblocks = n.div_ceil(BLOCK_TRIALS);
-    // Effective width: a block is the dispatch unit, so more workers than
-    // blocks cannot engage (the report records the width actually used).
-    let workers = workers.max(1).min((nblocks as usize).max(1));
-    let accepts = if workers == 1 || nblocks <= 1 {
-        let mut scratch = sampler.scratch();
-        (0..nblocks)
-            .map(|b| {
-                sampler.sample_block(
-                    block_len(n, nblocks, b),
-                    &mut scratch,
-                    &BlockRng::new(seed, b),
-                )
-            })
-            .sum()
-    } else {
-        let total = AtomicU64::new(0);
-        let scratch = qsim::pool::SlotScratch::new(workers, || sampler.scratch());
-        qsim::pool::global().dispatch(workers, nblocks as usize, &|slot, chunk| {
-            let b = chunk as u64;
-            // Safety: `slot` is the pool-provided slot id of this job.
-            let s = unsafe { scratch.get(slot) };
-            let a = sampler.sample_block(block_len(n, nblocks, b), s, &BlockRng::new(seed, b));
-            total.fetch_add(a, Ordering::Relaxed);
-        });
-        total.into_inner()
-    };
-    TrialReport {
-        trials: n,
-        accepts,
-        workers,
-        elapsed: start.elapsed(),
-    }
+    run_trials_observed(sampler, n, seed, workers, None, &|_| None, &|_, _, _| {})
 }
 
-/// Runs up to `n` trials of `sampler` under master seed `seed`, stopping at
-/// the first block boundary past `deadline` (when given). Returns a
-/// [`TrialReport`] over the trials actually completed — a *partial* report
-/// whose `trials` field may be any prefix `k · BLOCK_TRIALS ≤ n` of the
-/// request (plus the short tail block when the run completes).
+/// Runs up to `n` trials of `sampler` under master seed `seed` over at most
+/// `workers` pool slots, issuing no block once `deadline` (when given) has
+/// passed. Returns a *partial* [`TrialReport`] over the contiguous prefix
+/// of completed blocks: its `trials` field is some `k · BLOCK_TRIALS ≤ n`
+/// (or `n` when the run completes).
 ///
-/// Blocks are processed strictly in order, so the completed prefix is
-/// bit-identical to the same prefix of an unbounded [`run_trials`] with the
-/// same `(sampler, n, seed)`: deadline expiry never changes *which* rounds
-/// were sampled, only how many. This is the property the serving layer's
-/// crash-recovery journal relies on (see [`crate::service`]).
+/// That prefix is bit-identical to the same prefix of an unbounded
+/// [`run_trials`] with the same `(sampler, n, seed)`: deadline expiry never
+/// changes *which* rounds were sampled, only how many. This is the property
+/// the serving layer's crash-recovery journal relies on (see
+/// [`crate::service`]).
 ///
-/// See [`run_trials_observed`] for the hook-bearing variant.
-pub fn run_trials_deadline<S: BatchSampler>(
-    sampler: &S,
-    n: u64,
-    seed: u64,
-    deadline: Option<Instant>,
-) -> TrialReport {
-    run_trials_observed(sampler, n, seed, deadline, &mut |_| None, &mut |_, _, _| {})
-}
-
-/// The hook-bearing deadline runner behind [`run_trials_deadline`].
+/// For each block `b`, the engine first consults `cached(b)`; a
+/// `Some(accepts)` is taken as the block's accept count without sampling
+/// (the caller vouches it came from an identical `(sampler, seed, block)`
+/// run — block determinism makes such reuse exact). Freshly sampled blocks
+/// are reported to `observe(b, len, accepts)` as they finish, possibly from
+/// several workers at once and out of block order; that is the journaling
+/// hook: a crash loses at most the blocks in flight, and replaying observed
+/// blocks through `cached` resumes the run bit-identically.
 ///
-/// For each block `b` (in order), the engine first consults
-/// `cached(b)`; a `Some(accepts)` is taken as the block's accept count
-/// without sampling (the caller vouches it came from an identical
-/// `(sampler, seed, block)` run — block determinism makes such reuse exact).
-/// Freshly sampled blocks are reported to `observe(b, len, accepts)` before
-/// the next block starts, which is the journaling hook: a crash loses at
-/// most the block in flight, and replaying observed blocks through `cached`
-/// resumes the run bit-identically.
-///
-/// The deadline is checked at block boundaries only (a block is the unit of
-/// both dispatch and determinism), and cached blocks never consume budget.
+/// The deadline is checked before each block is sampled (a block is the
+/// unit of both dispatch and determinism), and cached blocks never consume
+/// budget.
 pub fn run_trials_observed<S: BatchSampler>(
     sampler: &S,
     n: u64,
     seed: u64,
+    workers: usize,
     deadline: Option<Instant>,
-    cached: &mut dyn FnMut(u64) -> Option<u64>,
-    observe: &mut dyn FnMut(u64, u64, u64),
+    cached: &(dyn Fn(u64) -> Option<u64> + Sync),
+    observe: &(dyn Fn(u64, u64, u64) + Sync),
 ) -> TrialReport {
-    let start = Instant::now();
-    let nblocks = n.div_ceil(BLOCK_TRIALS);
-    let mut scratch = sampler.scratch();
-    let mut done: u64 = 0;
-    let mut accepts: u64 = 0;
-    for b in 0..nblocks {
-        let len = block_len(n, nblocks, b);
-        if let Some(a) = cached(b) {
-            done += len;
-            accepts += a;
-            continue;
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            break;
-        }
-        let a = sampler.sample_block(len, &mut scratch, &BlockRng::new(seed, b));
-        observe(b, len, a);
-        done += len;
-        accepts += a;
-    }
+    let (trials, accepts, workers, elapsed) =
+        drive(sampler, n, seed, workers, deadline, cached, observe);
     TrialReport {
-        trials: done,
+        trials,
         accepts,
-        workers: 1,
-        elapsed: start.elapsed(),
+        workers,
+        elapsed,
     }
 }
 
@@ -499,9 +446,10 @@ pub fn run_trials_observed<S: BatchSampler>(
 // ---------------------------------------------------------------------------
 
 /// Tallies of one block of transport-backed rounds. Unlike the boolean
-/// accept count of [`BatchSampler`], fault-injected rounds terminate in one
-/// of *three* states (accept / reject / abort-with-cause), and the engine
-/// additionally folds a transcript digest for the reproducibility tests.
+/// accept count of a `BatchSampler<u64>`, fault-injected rounds terminate
+/// in one of *three* states (accept / reject / abort-with-cause), and the
+/// engine additionally folds a transcript digest for the reproducibility
+/// tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockOutcomes {
     /// Rounds where every verifier completed and all accepted.
@@ -531,26 +479,6 @@ impl BlockOutcomes {
     }
 }
 
-/// A prepared sampler producing three-way [`BlockOutcomes`] per block; the
-/// same purity requirement as [`BatchSampler`] applies (a block's outcome
-/// depends only on `(self, trials, rng stream)`).
-pub trait OutcomeSampler: Sync {
-    /// Per-worker scratch (typically a transport instance), built once per
-    /// slot and reused across blocks.
-    type Scratch: Send;
-
-    /// Builds one scratch arena.
-    fn scratch(&self) -> Self::Scratch;
-
-    /// Runs `trials` rounds drawing from `rng`, tallying their outcomes.
-    fn sample_block(
-        &self,
-        trials: u64,
-        scratch: &mut Self::Scratch,
-        rng: &mut StdRng,
-    ) -> BlockOutcomes;
-}
-
 /// The outcome of a batched three-way trial run.
 #[derive(Clone, Debug)]
 pub struct OutcomeReport {
@@ -569,20 +497,12 @@ impl OutcomeReport {
     /// rounds count against acceptance — graceful degradation shows up as a
     /// completeness loss, exactly what the fault sweeps chart.
     pub fn accept_rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.outcomes.accepts as f64 / self.trials as f64
-        }
+        ratio(self.outcomes.accepts as f64, self.trials as f64)
     }
 
     /// Empirical abort rate `aborts / trials` (0 when empty).
     pub fn abort_rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.outcomes.aborts as f64 / self.trials as f64
-        }
+        ratio(self.outcomes.aborts as f64, self.trials as f64)
     }
 
     /// Two-sided Hoeffding deviation for the accept rate; see
@@ -593,84 +513,113 @@ impl OutcomeReport {
 
     /// Nanoseconds of wall clock per sampled round.
     pub fn ns_per_round(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.elapsed.as_nanos() as f64 / self.trials as f64
-        }
+        ratio(self.elapsed.as_nanos() as f64, self.trials as f64)
     }
 
     /// Sampled rounds per second of wall clock.
     pub fn rounds_per_sec(&self) -> f64 {
-        let ns = self.ns_per_round();
-        if ns == 0.0 {
-            0.0
-        } else {
-            1e9 / ns
-        }
+        ratio(1e9, self.ns_per_round())
     }
-}
-
-/// Runs `n` three-way trials of `sampler` under master seed `seed` at the
-/// default width. See [`run_outcome_trials_with_workers`].
-pub fn run_outcome_trials<S: OutcomeSampler>(sampler: &S, n: u64, seed: u64) -> OutcomeReport {
-    run_outcome_trials_with_workers(sampler, n, seed, default_workers())
 }
 
 /// Runs `n` three-way trials of `sampler` under master seed `seed`,
 /// dispatched over at most `workers` pool slots. Identical block-index
 /// determinism contract as [`run_trials_with_workers`]: counts *and* the
 /// transcript digest are bit-identical at every worker count.
-pub fn run_outcome_trials_with_workers<S: OutcomeSampler>(
+pub fn run_outcome_trials_with_workers<S: BatchSampler<BlockOutcomes>>(
     sampler: &S,
     n: u64,
     seed: u64,
     workers: usize,
 ) -> OutcomeReport {
+    let (trials, outcomes, workers, elapsed) =
+        drive(sampler, n, seed, workers, None, &|_| None, &|_, _, _| {});
+    OutcomeReport {
+        trials,
+        outcomes,
+        workers,
+        elapsed,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The block driver
+// ---------------------------------------------------------------------------
+
+/// A per-block tally the driver folds. Both folds are commutative, so the
+/// total cannot depend on which worker ran which block.
+trait Tally: Copy + Default + Send + Sync {
+    fn fold(&mut self, block: &Self);
+}
+
+impl Tally for u64 {
+    fn fold(&mut self, block: &u64) {
+        *self += block;
+    }
+}
+
+impl Tally for BlockOutcomes {
+    fn fold(&mut self, block: &BlockOutcomes) {
+        self.merge(block);
+    }
+}
+
+/// The block driver behind every runner in this module: splits `n` trials
+/// into [`BLOCK_TRIALS`] blocks, dispatches them over at most `workers`
+/// [`qsim::pool`] slots (clamped to the block count, since a block is the
+/// dispatch unit; at width 1 the pool runs every block inline, in order)
+/// with one scratch arena per slot, applies the `cached` / `deadline` /
+/// `observe` hooks as [`run_trials_observed`] documents them, and folds the
+/// tallies of the contiguous prefix of counted blocks. That prefix is what
+/// makes a deadline-cut run bit-identical to the same prefix of an
+/// unbounded run at any width. Returns `(trials, tally, workers, elapsed)`
+/// over the prefix.
+fn drive<T: Tally, S: BatchSampler<T>>(
+    sampler: &S,
+    n: u64,
+    seed: u64,
+    workers: usize,
+    deadline: Option<Instant>,
+    cached: &(dyn Fn(u64) -> Option<T> + Sync),
+    observe: &(dyn Fn(u64, u64, T) + Sync),
+) -> (u64, T, usize, Duration) {
     let start = Instant::now();
     let nblocks = n.div_ceil(BLOCK_TRIALS);
     let workers = workers.max(1).min((nblocks as usize).max(1));
-    let outcomes = if workers == 1 || nblocks <= 1 {
-        let mut scratch = sampler.scratch();
-        let mut total = BlockOutcomes::default();
-        for b in 0..nblocks {
-            let o = sampler.sample_block(
-                block_len(n, nblocks, b),
-                &mut scratch,
-                &mut stream_rng(seed, b),
-            );
-            total.merge(&o);
-        }
-        total
-    } else {
-        let total = std::sync::Mutex::new(BlockOutcomes::default());
-        let scratch = qsim::pool::SlotScratch::new(workers, || sampler.scratch());
-        qsim::pool::global().dispatch(workers, nblocks as usize, &|slot, chunk| {
-            let b = chunk as u64;
-            // Safety: `slot` is the pool-provided slot id of this job.
-            let s = unsafe { scratch.get(slot) };
-            let o = sampler.sample_block(block_len(n, nblocks, b), s, &mut stream_rng(seed, b));
-            total
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .merge(&o);
-        });
-        total
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    };
-    OutcomeReport {
-        trials: n,
-        outcomes,
-        workers,
-        elapsed: start.elapsed(),
+    let scratch = qsim::pool::SlotScratch::new(workers, || sampler.scratch());
+    let tallies: Vec<OnceLock<T>> = (0..nblocks).map(|_| OnceLock::new()).collect();
+    qsim::pool::global().dispatch(workers, nblocks as usize, &|slot, chunk| {
+        let b = chunk as u64;
+        let tally = match cached(b) {
+            Some(t) => t,
+            None => {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    return;
+                }
+                let len = block_len(n, nblocks, b);
+                // SAFETY: `slot` is the pool-provided slot id of this job.
+                let s = unsafe { scratch.get(slot) };
+                let t = sampler.sample_block(len, s, &BlockRng::new(seed, b));
+                observe(b, len, t);
+                t
+            }
+        };
+        let _ = tallies[chunk].set(tally);
+    });
+    let mut trials = 0;
+    let mut total = T::default();
+    for (b, t) in tallies.iter().map_while(OnceLock::get).enumerate() {
+        trials += block_len(n, nblocks, b as u64);
+        total.fold(t);
     }
+    (trials, total, workers, start.elapsed())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A Bernoulli(p) sampler whose scratch counts the blocks it served —
     /// enough to pin the engine's plumbing without any protocol machinery.
@@ -774,10 +723,11 @@ mod tests {
         abort: f64,
     }
 
-    impl OutcomeSampler for ThreeWay {
+    impl BatchSampler<BlockOutcomes> for ThreeWay {
         type Scratch = ();
         fn scratch(&self) {}
-        fn sample_block(&self, trials: u64, _s: &mut (), rng: &mut StdRng) -> BlockOutcomes {
+        fn sample_block(&self, trials: u64, _s: &mut (), stream: &BlockRng) -> BlockOutcomes {
+            let mut rng = stream.block_rng();
             let mut out = BlockOutcomes::default();
             for _ in 0..trials {
                 let x: f64 = rng.random();
@@ -885,25 +835,93 @@ mod tests {
         );
     }
 
+    /// A [`Coin`] that sleeps through every block and records which threads
+    /// sampled, so a second worker has time to claim blocks and a test can
+    /// check that it did.
+    struct SlowCoin {
+        coin: Coin,
+        threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl BatchSampler for SlowCoin {
+        type Scratch = u64;
+        fn scratch(&self) -> u64 {
+            0
+        }
+        fn sample_block(&self, trials: u64, scratch: &mut u64, stream: &BlockRng) -> u64 {
+            let id = std::thread::current().id();
+            self.threads.lock().unwrap().insert(id);
+            std::thread::sleep(Duration::from_millis(1));
+            self.coin.sample_block(trials, scratch, stream)
+        }
+    }
+
+    /// Runs `case` on a fresh `SlowCoin { p: 0.37 }` until at least
+    /// `min(workers, 2)` threads sampled blocks, and returns its result. A
+    /// dispatch that meets another test's dispatch on the shared pool runs
+    /// inline, so a width-2 case retries until the parallel path really ran.
+    fn on_threads<R>(workers: usize, case: impl Fn(&SlowCoin) -> R) -> R {
+        for _ in 0..100 {
+            let coin = SlowCoin {
+                coin: Coin { p: 0.37 },
+                threads: Default::default(),
+            };
+            let r = case(&coin);
+            if coin.threads.into_inner().unwrap().len() >= workers.min(2) {
+                return r;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!(
+            "no run at width {workers} engaged {} threads",
+            workers.min(2)
+        );
+    }
+
     #[test]
     fn deadline_none_matches_unbounded_engine_bit_identically() {
-        let coin = Coin { p: 0.37 };
         let n = 3 * BLOCK_TRIALS + 511;
-        let full = run_trials_with_workers(&coin, n, 21, 1);
-        let budgeted = run_trials_deadline(&coin, n, 21, None);
-        assert_eq!(budgeted.trials, full.trials);
-        assert_eq!(budgeted.accepts, full.accepts);
+        let full = run_trials_with_workers(&Coin { p: 0.37 }, n, 21, 1);
+        for workers in [1usize, 2] {
+            let budgeted = on_threads(workers, |coin| {
+                run_trials_observed(coin, n, 21, workers, None, &|_| None, &|_, _, _| {})
+            });
+            assert_eq!(budgeted.trials, full.trials, "workers = {workers}");
+            assert_eq!(budgeted.accepts, full.accepts, "workers = {workers}");
+        }
     }
 
     #[test]
     fn expired_deadline_yields_an_empty_partial_report() {
         let coin = Coin { p: 0.5 };
         let past = Instant::now() - Duration::from_secs(1);
-        let r = run_trials_deadline(&coin, 10 * BLOCK_TRIALS, 7, Some(past));
+        let n = 10 * BLOCK_TRIALS;
+        let r = run_trials_observed(&coin, n, 7, 1, Some(past), &|_| None, &|_, _, _| {});
         assert_eq!(r.trials, 0);
         assert_eq!(r.accepts, 0);
         // A zero-trial report still carries a (vacuous) Wilson interval.
         assert_eq!(r.wilson_interval(1.96), (0.0, 1.0));
+    }
+
+    /// Per-block accepts of the unbounded run, in block order, as the
+    /// observe hook journals them.
+    fn journal_blocks<S: BatchSampler>(
+        coin: &S,
+        n: u64,
+        seed: u64,
+        workers: usize,
+    ) -> (TrialReport, Vec<u64>) {
+        let journal = std::sync::Mutex::new(Vec::new());
+        let full = run_trials_observed(coin, n, seed, workers, None, &|_| None, &|b, len, a| {
+            journal.lock().unwrap().push((b, len, a))
+        });
+        let mut journal = journal.into_inner().unwrap();
+        journal.sort_unstable();
+        assert!(journal
+            .iter()
+            .enumerate()
+            .all(|(i, &(b, _, _))| b == i as u64));
+        (full, journal.into_iter().map(|(_, _, a)| a).collect())
     }
 
     #[test]
@@ -911,34 +929,59 @@ mod tests {
         // Record per-block accepts of the unbounded run, then check that a
         // resumed run driven through the cache hook reproduces the total
         // without resampling the journaled prefix.
-        let coin = Coin { p: 0.37 };
         let n = 5 * BLOCK_TRIALS + 100;
-        let mut journal: Vec<(u64, u64, u64)> = Vec::new();
-        let full = run_trials_observed(&coin, n, 33, None, &mut |_| None, &mut |b, len, a| {
-            journal.push((b, len, a))
+        for workers in [1usize, 2] {
+            let (full, journal) = on_threads(workers, |coin| journal_blocks(coin, n, 33, workers));
+            assert_eq!(journal.len(), 6);
+            // Every observed prefix sums to a valid partial report.
+            let prefix: u64 = journal[..3].iter().sum();
+            // Resume: blocks 0..3 come from the "journal", the rest sample
+            // live.
+            let (resumed, resumed_fresh) = on_threads(workers, |coin| {
+                let fresh = AtomicU64::new(0);
+                let r = run_trials_observed(
+                    coin,
+                    n,
+                    33,
+                    workers,
+                    None,
+                    &|b| (b < 3).then(|| journal[b as usize]),
+                    &|_, _, _| {
+                        fresh.fetch_add(1, Ordering::Relaxed);
+                    },
+                );
+                (r, fresh.into_inner())
+            });
+            assert_eq!(
+                resumed_fresh, 3,
+                "only the unjournaled blocks resample (workers = {workers})"
+            );
+            assert_eq!(resumed.trials, full.trials);
+            assert_eq!(
+                resumed.accepts, full.accepts,
+                "resume must be bit-identical (workers = {workers})"
+            );
+            assert_eq!(prefix + journal[3..].iter().sum::<u64>(), full.accepts);
+        }
+    }
+
+    #[test]
+    fn deadline_mid_run_at_width_two_reports_a_contiguous_block_prefix() {
+        let n = 64 * BLOCK_TRIALS;
+        let (_, journal) = journal_blocks(&Coin { p: 0.37 }, n, 47, 1);
+        let r = on_threads(2, |coin| {
+            // 64 blocks of at least 1 ms over two workers cannot finish in
+            // 10 ms.
+            let deadline = Instant::now() + Duration::from_millis(10);
+            run_trials_observed(coin, n, 47, 2, Some(deadline), &|_| None, &|_, _, _| {})
         });
-        assert_eq!(journal.len(), 6);
-        // Every observed prefix sums to a valid partial report.
-        let prefix: u64 = journal[..3].iter().map(|&(_, _, a)| a).sum();
-        // Resume: blocks 0..3 come from the "journal", the rest sample live.
-        let mut resumed_fresh = 0u64;
-        let resumed = run_trials_observed(
-            &coin,
-            n,
-            33,
-            None,
-            &mut |b| (b < 3).then(|| journal[b as usize].2),
-            &mut |_, _, _| resumed_fresh += 1,
-        );
-        assert_eq!(resumed_fresh, 3, "only the unjournaled blocks resample");
-        assert_eq!(resumed.trials, full.trials);
+        assert!(r.trials < n, "the deadline must cut the run");
+        assert_eq!(r.trials % BLOCK_TRIALS, 0, "a partial run ends on a block");
+        let k = (r.trials / BLOCK_TRIALS) as usize;
         assert_eq!(
-            resumed.accepts, full.accepts,
-            "resume must be bit-identical"
-        );
-        assert_eq!(
-            prefix + journal[3..].iter().map(|&(_, _, a)| a).sum::<u64>(),
-            full.accepts
+            r.accepts,
+            journal[..k].iter().sum::<u64>(),
+            "the partial report is the unbounded run's {k}-block prefix"
         );
     }
 

@@ -7,7 +7,8 @@
 //! The contract under test is uniform: **every** malformed frame —
 //! truncated at any token boundary, corrupted at any token, or carrying an
 //! oversized count — must come back as a structured `Err`, never a panic
-//! and never an attacker-sized allocation. The tests are table-driven over
+//! and never an attacker-sized allocation; a program spec that does decode
+//! must also instantiate without panicking. The tests are table-driven over
 //! real encodings, so they track the codecs as they grow.
 
 use commproto::bitstring::BitString;
@@ -19,6 +20,14 @@ use dqma::eq_tree::EqTreeProtocol;
 use dqma::relay::RelayEqProtocol;
 use dqma::service::{InstanceSpec, JobSpec};
 use netsim::topology;
+
+/// Decodes a program frame and instantiates whatever decodes: the whole
+/// path a node process takes on a `program` control line.
+fn decode_and_instantiate(frame: &str) -> Result<(), String> {
+    ProgramSpec::decode(frame).map(|spec| {
+        spec.instantiate();
+    })
+}
 
 /// One real encoding per program shape, produced by the actual encoders so
 /// the negative tables can never drift from the wire format.
@@ -73,7 +82,7 @@ fn truncation_at_every_token_boundary_is_an_error_never_a_panic() {
         let tokens: Vec<&str> = line.split_whitespace().collect();
         for cut in 0..tokens.len() {
             let prefix = tokens[..cut].join(" ");
-            let result = std::panic::catch_unwind(|| ProgramSpec::decode(&prefix));
+            let result = std::panic::catch_unwind(|| decode_and_instantiate(&prefix));
             let decoded = result
                 .unwrap_or_else(|_| panic!("{label}: decode panicked on {cut}-token truncation"));
             assert!(
@@ -98,7 +107,7 @@ fn single_token_corruption_is_an_error_never_a_panic() {
                 let mut mutated: Vec<&str> = tokens.clone();
                 mutated[i] = sub;
                 let frame = mutated.join(" ");
-                let result = std::panic::catch_unwind(|| ProgramSpec::decode(&frame));
+                let result = std::panic::catch_unwind(|| decode_and_instantiate(&frame));
                 assert!(
                     result.is_ok(),
                     "{label}: decode panicked with token {i} replaced by {sub:?}"
@@ -147,8 +156,11 @@ fn unknown_kinds_and_bad_roles_are_structured_errors() {
         "tree 1 3 0 i x 1 5 0",    // child token missing ':'
         "tree 1 3 0 i x 1 5:zz 0", // bad shift
         "tree 1 3 0 i y 1 5:x 0",  // bad parent token
+        // First relay boundary not at node 0 (a 2-node segment's 12 tables).
+        &format!("relay 1 0 2 5{}", " 3ff0000000000000".repeat(12)),
+        "relay 0 0 0", // no segment at all
     ] {
-        let result = std::panic::catch_unwind(|| ProgramSpec::decode(frame));
+        let result = std::panic::catch_unwind(|| decode_and_instantiate(frame));
         let decoded = result.unwrap_or_else(|_| panic!("decode panicked on {frame:?}"));
         assert!(decoded.is_err(), "{frame:?} must not decode");
     }
@@ -197,7 +209,7 @@ fn mutation_fuzz_never_panics_the_decoder() {
                 continue;
             };
             let result = std::panic::catch_unwind(|| {
-                let _ = ProgramSpec::decode(&frame);
+                let _ = decode_and_instantiate(&frame);
             });
             assert!(result.is_ok(), "{label}: decoder panicked on {frame:?}");
         }

@@ -103,7 +103,7 @@
 //!   metadata previously derived independently by `swap_test`, `permutation`
 //!   and the kernels is memoised once in [`plan`]
 //!   ([`plan::symmetric_classes`], [`plan::permutation_src`]).
-//! * **Vectorisation (`simd` feature)** — [`simd`] holds explicit
+//! * **Vectorisation** — [`simd`] holds explicit
 //!   `std::arch` AVX2 (f64×4) executors for the two hot shapes left after
 //!   plan compilation: the *trial lane walks* of the `dqma` batched engine
 //!   (per-node chain-table selects, tree-node gathers and acceptance
@@ -112,8 +112,9 @@
 //!   row for frontier tensoring, plane axpy for traced class projection,
 //!   gather-blend symmetrisation, and the quadratic-form row dot). Every
 //!   entry point carries an always-compiled **scalar oracle** defining the
-//!   reference semantics; the AVX2 twins are runtime-dispatched via
-//!   `is_x86_feature_detected!` and constructed to be **bit-identical**, not
+//!   reference semantics; the AVX2 twins are compiled on every `x86_64`
+//!   build, selected at run time via `is_x86_feature_detected!` (no cargo
+//!   feature), and constructed to be **bit-identical**, not
 //!   approximately equal (lane-wise IEEE operations in oracle order, exact
 //!   gathers, no FMA contraction, and a fixed four-partial reduction
 //!   contract for the one genuine dot product — see the [`simd`] module

@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD executors with always-compiled scalar oracles.
 //!
 //! Every function in this module has two bodies: a **scalar oracle** that is
-//! compiled on every target and defines the reference semantics, and (under
-//! `feature = "simd"` on `x86_64`) an AVX2 `std::arch` twin selected at
-//! runtime via `is_x86_feature_detected!`. The twins are written so that
+//! compiled on every target and defines the reference semantics, and (on
+//! `x86_64`) an AVX2 `std::arch` twin selected at run time via
+//! `is_x86_feature_detected!`. The twins are written so that
 //! their results are **bit-identical** to the oracle, not merely close:
 //!
 //! * the lane executors ([`fused_lane_walk`], [`tree_lane_accumulate`],
@@ -28,27 +28,24 @@
 //!
 //! # Dispatch
 //!
-//! [`enabled`] is a process-wide switch initialised to "on when compiled in
-//! and the host has AVX2". [`set_enabled`] lets benchmarks time the scalar
-//! oracle and the AVX2 path in the same process (the
+//! [`enabled`] is a process-wide switch initialised to [`available`]: on
+//! for an `x86_64` host with AVX2. [`set_enabled`] lets benchmarks and tests
+//! run the scalar oracle and the AVX2 path in the same process (the
 //! `speedup_simd_vs_scalar` bench columns are same-run ratios for exactly
 //! this reason); it clamps to [`available`], so calling `set_enabled(true)`
-//! in a scalar-only build is a no-op that leaves the oracle in place.
+//! on a host without AVX2 is a no-op that leaves the oracle in place.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Tri-state: 2 = uninitialised, 1 = enabled, 0 = disabled.
 static ENABLED: AtomicU8 = AtomicU8::new(2);
 
-/// Whether the AVX2 executors are compiled in *and* the host supports them.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// Whether the host can run the AVX2 executors: an `x86_64` target whose
+/// CPU reports AVX2 at run time.
 pub fn available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// Whether the AVX2 executors are compiled in *and* the host supports them.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-pub fn available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
     false
 }
 
@@ -109,7 +106,7 @@ pub fn fused_lane_walk(fused: &[f64], masks: &[u64], aug: &[u64], acc: &mut [f64
     assert!(fused.len() >= masks.len() * CHUNK_STRIDE);
     assert_eq!(aug.len(), acc.len());
     assert!(masks.iter().all(|&m| m < CHUNK_STRIDE as u64));
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime, and the
         // masks were just checked to keep every gather index below
@@ -145,7 +142,7 @@ fn fused_lane_walk_scalar(fused: &[f64], masks: &[u64], aug: &[u64], acc: &mut [
 /// products accumulated with lane-wise `vmulpd` in the same chunk order as
 /// the oracle — bit-identical results. The main loop carries 16 lanes
 /// (4 registers) so the gathers of consecutive chunks overlap.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn fused_lane_walk_avx2(fused: &[f64], masks: &[u64], aug: &[u64], acc: &mut [f64]) {
     use std::arch::x86_64::*;
@@ -215,7 +212,7 @@ unsafe fn fused_lane_walk_avx2(fused: &[f64], masks: &[u64], aug: &[u64], acc: &
 pub fn fill_trial_streams(block_key: u64, t0: u64, words: &mut [u64], draws: &mut [f64]) {
     let lanes = draws.len();
     assert!(lanes > 0 && words.len().is_multiple_of(lanes));
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
         unsafe { fill_trial_streams_avx2(block_key, t0, words, draws) };
@@ -250,7 +247,7 @@ fn fill_trial_streams_scalar(block_key: u64, t0: u64, words: &mut [u64], draws: 
 /// and the final `u64 → f64` conversion done exactly via the split 32-bit
 /// magic-constant trick (the 53-bit operand makes both halves and their
 /// recombination exact).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn fill_trial_streams_avx2(block_key: u64, t0: u64, words: &mut [u64], draws: &mut [f64]) {
     use crate::random::{STREAM_GAMMA as GAMMA, TRIAL_GAMMA};
@@ -351,7 +348,7 @@ unsafe fn fill_trial_streams_avx2(block_key: u64, t0: u64, words: &mut [u64], dr
 pub fn tree_lane_accumulate(probs: &[f64], bits: &[u32], coins: &[u64], acc: &mut [f64]) {
     assert_eq!(coins.len(), acc.len());
     assert!(probs.len() >= 1usize << bits.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
         unsafe { tree_lane_accumulate_avx2(probs, bits, coins, acc) };
@@ -374,7 +371,7 @@ fn tree_lane_accumulate_scalar(probs: &[f64], bits: &[u32], coins: &[u64], acc: 
 /// AVX2 twin of [`tree_lane_accumulate`]: per-lane index assembly with
 /// integer shifts/ors, one `vgatherqpd` table load per register, lane-wise
 /// multiply — exact loads and lane-wise rounding, so bit-identical.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn tree_lane_accumulate_avx2(probs: &[f64], bits: &[u32], coins: &[u64], acc: &mut [f64]) {
     use std::arch::x86_64::*;
@@ -406,7 +403,7 @@ unsafe fn tree_lane_accumulate_avx2(probs: &[f64], bits: &[u32], coins: &[u64], 
 /// Panics if the slices have mismatched lengths.
 pub fn count_accepts(draw: &[f64], acc: &[f64]) -> u64 {
     assert_eq!(draw.len(), acc.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
         return unsafe { count_accepts_avx2(draw, acc) };
@@ -421,7 +418,7 @@ fn count_accepts_scalar(draw: &[f64], acc: &[f64]) -> u64 {
 
 /// AVX2 twin of [`count_accepts`]: `vcmppd` (ordered strict less-than, the
 /// same predicate as scalar `<`) + movemask + popcount.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn count_accepts_avx2(draw: &[f64], acc: &[f64]) -> u64 {
     use std::arch::x86_64::*;
@@ -464,7 +461,7 @@ pub fn complex_scale_into(
     assert_eq!(bre.len(), bim.len());
     assert_eq!(ore.len(), oim.len());
     assert_eq!(bre.len(), ore.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
         unsafe { complex_scale_into_avx2(ar, ai, bre, bim, ore, oim) };
@@ -491,7 +488,7 @@ fn complex_scale_into_scalar(
 
 /// AVX2 twin of [`complex_scale_into`] (no FMA — mul/sub/add exactly as the
 /// oracle rounds).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn complex_scale_into_avx2(
@@ -552,7 +549,7 @@ pub fn kron_planes(
     assert_eq!(bim.len(), d2 * d2);
     assert_eq!(ore.len(), d * d);
     assert_eq!(oim.len(), d * d);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
         unsafe { kron_planes_avx2(are, aim, bre, bim, ore, oim, d1, d2) };
@@ -596,7 +593,7 @@ fn kron_planes_scalar(
 /// AVX2 twin of [`kron_planes`]: the same loop nest with the row blend
 /// inlined under one `target_feature` scope, so the whole product runs
 /// without re-entering the dispatcher.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn kron_planes_avx2(
@@ -636,7 +633,7 @@ unsafe fn kron_planes_avx2(
 /// Panics if the slices have mismatched lengths.
 pub fn axpy(w: f64, src: &[f64], dst: &mut [f64]) {
     assert_eq!(src.len(), dst.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
         unsafe { axpy_avx2(w, src, dst) };
@@ -653,7 +650,7 @@ fn axpy_scalar(w: f64, src: &[f64], dst: &mut [f64]) {
 }
 
 /// AVX2 twin of [`axpy`] (mul + add, no FMA).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn axpy_avx2(w: f64, src: &[f64], dst: &mut [f64]) {
     use std::arch::x86_64::*;
@@ -686,7 +683,7 @@ unsafe fn axpy_avx2(w: f64, src: &[f64], dst: &mut [f64]) {
 pub fn gather_avg(direct: &[f64], permuted: &[f64], idx: &[usize], out: &mut [f64]) {
     assert_eq!(direct.len(), out.len());
     assert_eq!(idx.len(), out.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         debug_assert!(idx.iter().all(|&f| f < permuted.len()));
         // SAFETY: `enabled()` implies AVX2 was detected at runtime; the
@@ -706,7 +703,7 @@ fn gather_avg_scalar(direct: &[f64], permuted: &[f64], idx: &[usize], out: &mut 
 
 /// AVX2 twin of [`gather_avg`]: `vgatherqpd` for the permuted plane (exact
 /// loads), then add and halve lane-wise.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gather_avg_avx2(direct: &[f64], permuted: &[f64], idx: &[usize], out: &mut [f64]) {
     use std::arch::x86_64::*;
@@ -746,7 +743,7 @@ pub fn row_dot(re: &[f64], im: &[f64], vr: &[f64], vi: &[f64]) -> (f64, f64) {
     assert_eq!(re.len(), im.len());
     assert_eq!(vr.len(), vi.len());
     assert_eq!(re.len(), vr.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
         return unsafe { row_dot_avx2(re, im, vr, vi) };
@@ -772,7 +769,7 @@ fn row_dot_scalar(re: &[f64], im: &[f64], vr: &[f64], vi: &[f64]) -> (f64, f64) 
 
 /// AVX2 twin of [`row_dot`]: 4-lane accumulators, scalar tail folded into
 /// the matching lanes before the contract's horizontal combine.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn row_dot_avx2(re: &[f64], im: &[f64], vr: &[f64], vi: &[f64]) -> (f64, f64) {
     use std::arch::x86_64::*;
@@ -828,7 +825,7 @@ unsafe fn row_dot_avx2(re: &[f64], im: &[f64], vr: &[f64], vi: &[f64]) -> (f64, 
 /// Panics if `cols.len() ≠ out.len()·v.len()`.
 pub fn matvec_cols(cols: &[f64], v: &[f64], out: &mut [f64]) {
     assert_eq!(cols.len(), out.len() * v.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
         unsafe { matvec_cols_avx2(cols, v, out) };
@@ -854,7 +851,7 @@ fn matvec_cols_scalar(cols: &[f64], v: &[f64], out: &mut [f64]) {
 /// shape), otherwise each column streams through memory; in both shapes
 /// every output element sees the identical `j`-ascending operation
 /// sequence, four rows per instruction.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matvec_cols_avx2(cols: &[f64], v: &[f64], out: &mut [f64]) {
     use std::arch::x86_64::*;
@@ -911,7 +908,7 @@ unsafe fn matvec_cols_avx2(cols: &[f64], v: &[f64], out: &mut [f64]) {
 /// Panics if the slices have mismatched lengths.
 pub fn dot4(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
         return unsafe { dot4_avx2(a, b) };
@@ -931,7 +928,7 @@ fn dot4_scalar(a: &[f64], b: &[f64]) -> f64 {
 
 /// AVX2 twin of [`dot4`]: one 4-lane accumulator, scalar tail folded into
 /// the matching lanes before the contract's horizontal combine.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn dot4_avx2(a: &[f64], b: &[f64]) -> f64 {
     use std::arch::x86_64::*;
@@ -964,7 +961,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// Runs `f` under both dispatch settings and asserts identical results.
-    /// In scalar-only builds both passes take the oracle, which still
+    /// On a host without AVX2 both passes take the oracle, which still
     /// exercises the toggle plumbing.
     fn both_paths<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
         let was = enabled();

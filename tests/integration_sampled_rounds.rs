@@ -373,8 +373,8 @@ const LANE_SWEEP: [usize; 3] = [1, 4, 8];
 /// default engine's `TrialReport` bit for bit at every lane width in
 /// [`LANE_SWEEP`], every worker count in [`WORKER_SWEEP`], and with the SIMD
 /// executors both disabled and enabled (the latter clamps to the scalar path
-/// on hosts without AVX2 or in non-`simd` builds — the contract is precisely
-/// that this must not be observable).
+/// on hosts without AVX2 — the contract is precisely that this must not be
+/// observable).
 fn assert_lane_invariant<S: dqma::trials::LaneBatched>(
     label: &str,
     plan: &S,

@@ -429,6 +429,16 @@ fn chaos_directives_are_refused_without_the_flag() {
     assert_eq!(code, 400, "chaos without --chaos must be refused: {body}");
 }
 
+/// `submitted == completed + partial + failed + live` once no job is live
+/// (nothing queued, nothing running).
+fn assert_accounting_identity_with_no_live_jobs(health: &json::Parsed) {
+    assert_eq!(
+        stat(health, "submitted"),
+        stat(health, "completed") + stat(health, "partial") + stat(health, "failed"),
+        "accounting identity with no live jobs: {health:?}"
+    );
+}
+
 /// The crash-recovery headline: SIGKILL the server mid-job, restart it on
 /// the same journal, and the resumed job completes **bit-identically** to
 /// an uninterrupted run — journaled blocks are reused, not resampled.
@@ -503,10 +513,27 @@ fn kill_restart_resumes_jobs_bit_identically_from_the_journal() {
         "restart-resumed job must be bit-identical to an uninterrupted run"
     );
     assert_eq!(status.get("partial"), Some(&json::Parsed::Bool(false)));
+    let health = server.healthz();
     assert!(
-        stat(&server.healthz(), "memo_hits") > 0,
+        stat(&health, "memo_hits") > 0,
         "journaled blocks must be reused, not resampled"
     );
+    assert_accounting_identity_with_no_live_jobs(&health);
+    drop(server);
+
+    // Restart once more: the journal now records the job as done, so the
+    // replayed counters must account for it without resuming anything.
+    let Some(server) = Server::launch(&["--workers", "1", "--journal", &jarg]) else {
+        return;
+    };
+    let health = server.healthz();
+    assert_eq!(
+        stat(&health, "resumed"),
+        0,
+        "a finished job does not resume"
+    );
+    assert_eq!(stat(&health, "completed"), 1, "the finished job is counted");
+    assert_accounting_identity_with_no_live_jobs(&health);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
