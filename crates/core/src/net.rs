@@ -27,7 +27,10 @@
 //!   poisoned pool;
 //! * [`TransportSampler`] plugs a program into the block-deterministic
 //!   outcome engine of [`crate::trials`], so fault sweeps inherit the
-//!   bit-identical-at-any-worker-count contract of every other sampler.
+//!   bit-identical-at-any-worker-count contract of every other sampler;
+//!   [`sample_transport_rounds`] runs it over the lock-free per-worker
+//!   [`LocalChannelTransport`], whose message path is inlined and, in the
+//!   common case, free of hashing (see [`netsim::transport`]).
 //!
 //! # Statistical equivalence with the in-process samplers
 //!
@@ -171,7 +174,7 @@ impl<'a, T: Transport + ?Sized> NodeIo<'a, T> {
     /// Reliably sends `payload` to `dst`: sequence-numbered envelope,
     /// per-message timeout, bounded exponential backoff with deterministic
     /// jitter. Advances the virtual clock through the backoff schedule.
-    #[inline]
+    #[inline(always)]
     pub fn send(&mut self, dst: NodeId, payload: u64) -> Result<(), FaultCause> {
         let env = Envelope {
             src: self.node,
@@ -194,7 +197,7 @@ impl<'a, T: Transport + ?Sized> NodeIo<'a, T> {
     /// extending the deadline through the backoff schedule. Deliveries are
     /// deduplicated by the transport, so a retransmitted or duplicated
     /// envelope is observed at most once.
-    #[inline]
+    #[inline(always)]
     pub fn recv(&mut self) -> Result<Envelope, FaultCause> {
         let env = robust_recv(
             self.transport,
@@ -831,48 +834,43 @@ impl RoundProgram for TreeNetProgram {
 // Batched fault-sweep sampling
 // ---------------------------------------------------------------------------
 
-/// A [`BatchSampler`] of [`BlockOutcomes`] running a [`RoundProgram`] over a
-/// faulty channel transport: each pool worker owns one transport instance
-/// (scratch), each trial draws a fresh fault salt from its block stream
-/// ([`BlockRng::block_rng`]), so outcomes — accepts, rejects, aborts,
+/// A [`BatchSampler`] of [`BlockOutcomes`] running a [`RoundProgram`] over
+/// per-worker transports: each pool worker owns the transport `transport()`
+/// builds (scratch), each trial draws a fresh fault salt from its block
+/// stream ([`BlockRng::block_rng`]), so outcomes — accepts, rejects, aborts,
 /// message counts and the transcript digest — are bit-identical at any
 /// worker count.
-pub struct TransportSampler<'a, P: RoundProgram> {
+pub struct TransportSampler<'a, P: RoundProgram, F> {
     program: &'a P,
-    plan: FaultPlan,
     policy: RetryPolicy,
+    transport: F,
 }
 
-impl<'a, P: RoundProgram> TransportSampler<'a, P> {
-    /// Builds the sampler for `program` under fault schedule `plan`.
-    pub fn new(program: &'a P, plan: FaultPlan, policy: RetryPolicy) -> Self {
+impl<'a, P: RoundProgram, F> TransportSampler<'a, P, F> {
+    /// Builds the sampler for `program`, giving each worker the transport
+    /// `transport()` returns.
+    pub fn new(program: &'a P, policy: RetryPolicy, transport: F) -> Self {
         TransportSampler {
             program,
-            plan,
             policy,
+            transport,
         }
     }
 }
 
-impl<P: RoundProgram> BatchSampler<BlockOutcomes> for TransportSampler<'_, P> {
-    // Each worker slot owns its transport exclusively, so the unsynchronised
-    // local channel is safe — and roughly halves the zero-fault round cost
-    // relative to the lock-per-mailbox shared transport.
-    type Scratch = FaultyTransport<LocalChannelTransport>;
+impl<P, F, T> BatchSampler<BlockOutcomes> for TransportSampler<'_, P, F>
+where
+    P: RoundProgram,
+    F: Fn() -> T + Sync,
+    T: Transport + Send,
+{
+    type Scratch = T;
 
-    fn scratch(&self) -> Self::Scratch {
-        FaultyTransport::new(
-            LocalChannelTransport::poll(self.program.num_nodes()),
-            self.plan.clone(),
-        )
+    fn scratch(&self) -> T {
+        (self.transport)()
     }
 
-    fn sample_block(
-        &self,
-        trials: u64,
-        scratch: &mut Self::Scratch,
-        stream: &BlockRng,
-    ) -> BlockOutcomes {
+    fn sample_block(&self, trials: u64, scratch: &mut T, stream: &BlockRng) -> BlockOutcomes {
         let rng = &mut stream.block_rng();
         let mut out = BlockOutcomes::default();
         for _ in 0..trials {
@@ -895,6 +893,10 @@ impl<P: RoundProgram> BatchSampler<BlockOutcomes> for TransportSampler<'_, P> {
 /// dispatched over at most `workers` pool slots. The block-index determinism
 /// contract of [`crate::trials`] applies: every field of the report's
 /// [`BlockOutcomes`] is bit-identical at any worker count.
+///
+/// Each worker owns a [`FaultyTransport`] over a [`LocalChannelTransport`]:
+/// exclusive ownership needs no locks, and its deadlines are virtual-time
+/// filters, so the robust layer takes its hash-free fast path.
 pub fn sample_transport_rounds<P: RoundProgram>(
     program: &P,
     plan: &FaultPlan,
@@ -903,7 +905,30 @@ pub fn sample_transport_rounds<P: RoundProgram>(
     seed: u64,
     workers: usize,
 ) -> OutcomeReport {
-    let sampler = TransportSampler::new(program, plan.clone(), policy.clone());
+    let nodes = program.num_nodes();
+    sample_rounds_over(program, policy, n, seed, workers, || {
+        FaultyTransport::new(LocalChannelTransport::poll(nodes), plan.clone())
+    })
+}
+
+/// As [`sample_transport_rounds`], over per-worker transports built by
+/// `transport` (for instance a decorated or instrumented transport). The
+/// trial salts and RNG streams are those of [`sample_transport_rounds`], so
+/// two transports that deliver alike give bit-identical reports.
+pub fn sample_rounds_over<P, T, F>(
+    program: &P,
+    policy: &RetryPolicy,
+    n: u64,
+    seed: u64,
+    workers: usize,
+    transport: F,
+) -> OutcomeReport
+where
+    P: RoundProgram,
+    F: Fn() -> T + Sync,
+    T: Transport + Send,
+{
+    let sampler = TransportSampler::new(program, policy.clone(), transport);
     trials::run_outcome_trials_with_workers(&sampler, n, seed, workers)
 }
 

@@ -530,17 +530,18 @@ fn get_u64(v: &json::Parsed, key: &str) -> Result<u64, String> {
     opt_u64(v, key)?.ok_or_else(|| format!("missing numeric field {key:?}"))
 }
 
+/// Reads an optional non-negative integer field exactly (integer literals
+/// never pass through `f64`; see [`json::Parsed::as_u64`]); a value above
+/// `u64::MAX` is an error.
 fn opt_u64(v: &json::Parsed, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(json::Parsed::Null) => Ok(None),
         Some(f) => {
-            let x = f
-                .as_num()
+            f.as_num()
                 .ok_or_else(|| format!("field {key:?} is not a number"))?;
-            if x < 0.0 || x.fract() != 0.0 || x > u64::MAX as f64 {
-                return Err(format!("field {key:?} is not a non-negative integer"));
-            }
-            Ok(Some(x as u64))
+            f.as_u64().map(Some).ok_or_else(|| {
+                format!("field {key:?} is not a non-negative integer literal of at most 2^64 - 1")
+            })
         }
     }
 }
@@ -1889,6 +1890,74 @@ mod tests {
         assert_eq!(r2.accepts, reference.accepts);
         svc2.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn served_seeds_above_2_pow_53_are_exact_and_2_pow_64_is_refused() {
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        // 2^53 + 1 is the first integer an f64 rounds (to 2^53).
+        let seed = (1u64 << 53) + 1;
+        let spec = JobSpec {
+            instance: InstanceSpec::EqPath {
+                r: 4,
+                bits: 6,
+                x: 0b101101,
+                y: 0b010110,
+                scheme_seed: 11,
+                reps: 1,
+                cheat: CheatSpec::Interpolate,
+            },
+            ..small_job(BLOCK_TRIALS + 57, seed)
+        };
+        let body = spec.to_json();
+        assert_eq!(
+            JobSpec::from_json(&json::parse(&body).unwrap()).unwrap(),
+            spec
+        );
+        let mut wide = spec.clone();
+        if let InstanceSpec::EqPath { scheme_seed, .. } = &mut wide.instance {
+            *scheme_seed = seed;
+        }
+        let parsed = json::parse(&wide.to_json()).unwrap();
+        assert_eq!(
+            JobSpec::from_json(&parsed).unwrap(),
+            wide,
+            "scheme_seed must be exact"
+        );
+        let plan = spec.instance.compile();
+        let reference = run_trials_with_workers(&plan, spec.trials, seed, 1);
+        let rounded = run_trials_with_workers(&plan, spec.trials, seed - 1, 1);
+        assert_ne!(
+            reference.accepts, rounded.accepts,
+            "the seeds must be told apart"
+        );
+        let (code, resp) = route(&svc, "POST", "/v1/jobs", &body);
+        assert_eq!(code, 202, "{resp}");
+        let id = json::parse(&resp)
+            .unwrap()
+            .get("job")
+            .and_then(json::Parsed::as_u64)
+            .unwrap();
+        let JobStatus::Done(r) = svc.wait(id, Duration::from_secs(60)).unwrap() else {
+            panic!("job must finish");
+        };
+        assert_eq!(r.accepts, reference.accepts, "served seed must be 2^53 + 1");
+
+        // u64::MAX is a valid seed; 2^64 is one past it and is refused.
+        let max = body.replace(
+            &format!("\"seed\":{seed}"),
+            &format!("\"seed\":{}", u64::MAX),
+        );
+        assert_eq!(route(&svc, "POST", "/v1/jobs", &max).0, 202);
+        let over = body.replace(&format!("\"seed\":{seed}"), "\"seed\":18446744073709551616");
+        let (code, resp) = route(&svc, "POST", "/v1/jobs", &over);
+        assert_eq!(code, 400, "{resp}");
+        assert!(resp.contains("seed"), "{resp}");
+        svc.shutdown();
     }
 
     #[test]

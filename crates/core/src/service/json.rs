@@ -16,7 +16,10 @@ pub enum Parsed {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// A non-negative integer literal (digits only) that fits a `u64`, kept
+    /// exact: an `f64` holds integers exactly only up to 2^53.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -35,10 +38,27 @@ impl Parsed {
         }
     }
 
-    /// The value as a finite number, if it is one.
+    /// The value as a finite number, if it is one (a [`Parsed::Int`]
+    /// above 2^53 rounds to the nearest `f64`).
     pub fn as_num(&self) -> Option<f64> {
         match self {
+            Parsed::Int(n) => Some(*n as f64),
             Parsed::Num(x) if x.is_finite() => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The value as an exact `u64`: an integer literal within range, or a
+    /// number in another notation (`1e3`, `7.0`) whose value is a
+    /// non-negative integer below 2^53, where an `f64` still holds every
+    /// integer. Anything else, including every literal above `u64::MAX`
+    /// and every non-literal that an `f64` may have rounded, is `None`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Parsed::Int(n) => Some(n),
+            Parsed::Num(x) if (0.0..9_007_199_254_740_992.0).contains(&x) && x.fract() == 0.0 => {
+                Some(x as u64)
+            }
             _ => None,
         }
     }
@@ -183,11 +203,15 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Parsed, String> {
     {
         *pos += 1;
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
+    let text = std::str::from_utf8(&bytes[start..*pos]).unwrap_or("");
+    if text.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Parsed::Int(n));
+        }
+    }
+    text.parse::<f64>()
         .map(Parsed::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
+        .map_err(|_| format!("invalid number at byte {start}"))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -263,6 +287,28 @@ mod tests {
         assert_eq!(parsed.get("b").and_then(Parsed::as_str), Some("x\"y"));
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn integer_literals_parse_exactly_up_to_u64_max() {
+        let exact = |text: &str| parse(text).unwrap().as_u64();
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        assert_eq!(exact("9007199254740993"), Some(9_007_199_254_740_993));
+        assert_eq!(exact("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(exact("0"), Some(0));
+        // Other notations still read when their value is an exact integer.
+        assert_eq!(exact("1e3"), Some(1000));
+        assert_eq!(exact("7.0"), Some(7));
+        // Out of range, negative, fractional, or a non-literal an f64 may
+        // have rounded: no u64.
+        assert_eq!(exact("18446744073709551616"), None);
+        assert_eq!(exact("9007199254740993.0"), None);
+        assert_eq!(exact("1e17"), None);
+        assert_eq!(exact("-1"), None);
+        assert_eq!(exact("2.5"), None);
+        assert_eq!(exact("\"7\""), None);
+        // Integers still read as numbers.
+        assert_eq!(parse("12").unwrap().as_num(), Some(12.0));
     }
 
     #[test]

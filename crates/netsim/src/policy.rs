@@ -75,6 +75,25 @@ impl RetryPolicy {
         self.base_timeout << attempt.min(16)
     }
 
+    /// Sum of the un-jittered timeouts over all `max_attempts` attempts
+    /// (saturating): a lower bound on how far a full receive cycle extends
+    /// its deadline, used by the robust layer's hash-free fast path.
+    #[inline]
+    pub fn unjittered_budget(&self) -> VTime {
+        // Past attempt 16 every timeout equals `unjittered(16)`, so the tail
+        // is one multiply rather than a loop over `max_attempts`.
+        let head = self.max_attempts.min(16);
+        let base = self.base_timeout;
+        let sum = if base.leading_zeros() > 16 {
+            // No shift loses bits: the geometric series in closed form.
+            (base << head) - base
+        } else {
+            (0..head).fold(0, |acc: VTime, i| acc.saturating_add(self.unjittered(i)))
+        };
+        let tail = VTime::from(self.max_attempts - head);
+        sum.saturating_add(self.unjittered(16).saturating_mul(tail))
+    }
+
     /// The (jittered) timeout of 0-based attempt `attempt`; `h` seeds the
     /// jitter hash.
     ///

@@ -58,7 +58,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::transport::{Envelope, NodeId, RecvOutcome, SendOutcome, Transport, VTime};
@@ -99,6 +99,13 @@ impl TcpConfig {
         let nanos = vns.saturating_mul(self.nanos_per_vns);
         Duration::from_nanos(nanos).clamp(self.min_wait, self.max_wait)
     }
+}
+
+/// Locks `mutex`, recovering the guard when a panicking thread poisoned it.
+/// Every critical section here leaves its map or mailbox consistent at each
+/// step, so one panicking peer handler must not take the whole node down.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Inbound state shared with the acceptor/handler threads.
@@ -195,23 +202,23 @@ impl TcpTransport {
     /// restarted process listens on a fresh port; the stale socket would
     /// only ever yield resets).
     pub fn set_peer(&self, node: NodeId, addr: SocketAddr) {
-        self.peers.lock().unwrap().insert(node, addr);
-        self.conns.lock().unwrap().remove(&node);
+        lock(&self.peers).insert(node, addr);
+        lock(&self.conns).remove(&node);
     }
 
     /// Forgets `node` entirely (peer leave): sends to it fail fast as
     /// [`SendOutcome::Lost`] until a new address is installed.
     pub fn clear_peer(&self, node: NodeId) {
-        self.peers.lock().unwrap().remove(&node);
-        self.conns.lock().unwrap().remove(&node);
+        lock(&self.peers).remove(&node);
+        lock(&self.conns).remove(&node);
     }
 
     /// Jumps the trial epoch (e.g. to the batch's global trial index after a
     /// supervisor `abandon`). Buffered future-epoch deliveries for the new
     /// epoch become visible; everything older is pruned.
     pub fn set_epoch(&self, epoch: u64) {
-        let (lock, cvar) = &*self.mail;
-        let mut mail = lock.lock().unwrap();
+        let (mutex, cvar) = &*self.mail;
+        let mut mail = lock(mutex);
         mail.epoch = epoch;
         mail.prune();
         self.vclock.store(0, Ordering::Relaxed);
@@ -220,7 +227,7 @@ impl TcpTransport {
 
     /// The current trial epoch.
     pub fn epoch(&self) -> u64 {
-        self.mail.0.lock().unwrap().epoch
+        lock(&self.mail.0).epoch
     }
 
     fn advance_vclock(&self, start: Instant) -> VTime {
@@ -238,11 +245,11 @@ impl TcpTransport {
     fn try_send(&self, env: &Envelope, epoch: u64, budget: Duration) -> io::Result<()> {
         let deadline = Instant::now() + budget;
         let mut stream = {
-            let cached = self.conns.lock().unwrap().remove(&env.dst);
+            let cached = lock(&self.conns).remove(&env.dst);
             match cached {
                 Some(s) => s,
                 None => {
-                    let addr = self.peers.lock().unwrap().get(&env.dst).copied();
+                    let addr = lock(&self.peers).get(&env.dst).copied();
                     let addr = addr.ok_or_else(|| {
                         io::Error::new(io::ErrorKind::NotFound, "peer address unknown")
                     })?;
@@ -282,7 +289,7 @@ impl TcpTransport {
             let ack_epoch = u64::from_le_bytes(frame[1..9].try_into().unwrap());
             let ack_seq = u32::from_le_bytes(frame[9..13].try_into().unwrap());
             if ack_epoch == epoch && ack_seq == env.seq {
-                self.conns.lock().unwrap().insert(env.dst, stream);
+                lock(&self.conns).insert(env.dst, stream);
                 return Ok(());
             }
         }
@@ -307,7 +314,7 @@ impl Transport for TcpTransport {
         match self.try_send(env, epoch, budget) {
             Ok(()) => SendOutcome::Acked(self.advance_vclock(start)),
             Err(_) => {
-                self.conns.lock().unwrap().remove(&env.dst);
+                lock(&self.conns).remove(&env.dst);
                 // Consume the rest of the window so the caller's backoff
                 // schedule paces reconnection in wall time.
                 let left = budget.saturating_sub(start.elapsed());
@@ -326,8 +333,8 @@ impl Transport for TcpTransport {
         let v = self.vclock.load(Ordering::Relaxed);
         let budget = self.cfg.wall(deadline.saturating_sub(v));
         let wall_deadline = start + budget;
-        let (lock, cvar) = &*self.mail;
-        let mut mail = lock.lock().unwrap();
+        let (mutex, cvar) = &*self.mail;
+        let mut mail = lock(mutex);
         loop {
             let epoch = mail.epoch;
             if let Some(queue) = mail.by_epoch.get_mut(&epoch) {
@@ -342,14 +349,16 @@ impl Transport for TcpTransport {
                 self.advance_vclock(start);
                 return RecvOutcome::TimedOut;
             }
-            let (guard, _timeout) = cvar.wait_timeout(mail, left).unwrap();
+            let (guard, _timeout) = cvar
+                .wait_timeout(mail, left)
+                .unwrap_or_else(PoisonError::into_inner);
             mail = guard;
         }
     }
 
     fn begin_trial(&self, _salt: u64) {
-        let (lock, cvar) = &*self.mail;
-        let mut mail = lock.lock().unwrap();
+        let (mutex, cvar) = &*self.mail;
+        let mut mail = lock(mutex);
         mail.epoch += 1;
         mail.prune();
         self.vclock.store(0, Ordering::Relaxed);
@@ -397,8 +406,8 @@ fn handle_peer(mut stream: TcpStream, mail: Arc<(Mutex<MailState>, Condvar)>) ->
             payload: u64::from_le_bytes(frame[25..33].try_into().unwrap()),
         };
         {
-            let (lock, cvar) = &*mail;
-            let mut state = lock.lock().unwrap();
+            let (mutex, cvar) = &*mail;
+            let mut state = lock(mutex);
             // Stale frames (epoch already finished/abandoned here) are
             // dropped but still acknowledged below, so a lagging sender
             // completes instead of retrying forever.
@@ -477,6 +486,46 @@ mod tests {
         };
         assert_eq!(e.payload, 42);
         assert_eq!(e.src, 0);
+    }
+
+    #[test]
+    fn poisoned_locks_do_not_take_the_node_down() {
+        let Some((a, b)) = pair() else { return };
+        // A handler thread that panics while holding the receiver's mailbox
+        // lock, and a sender thread that panics holding the connection and
+        // peer maps, poison all three locks.
+        let mail = Arc::clone(&b.mail);
+        let poisoner = std::thread::spawn(move || {
+            let _held = mail.0.lock();
+            panic!("handler bug while holding the mailbox lock");
+        });
+        assert!(poisoner.join().is_err());
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _conns = a.conns.lock();
+                let _peers = a.peers.lock();
+                panic!("sender bug while holding the connection maps");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(b.mail.0.is_poisoned() && a.conns.is_poisoned() && a.peers.is_poisoned());
+
+        a.begin_trial(3);
+        b.begin_trial(3);
+        assert!(matches!(
+            a.send(0, &env(0, 1, 0, 21), 1 << 20),
+            SendOutcome::Acked(_)
+        ));
+        let RecvOutcome::Delivered(e, _) = b.recv(1, 1 << 20) else {
+            panic!("expected delivery through the poisoned mailbox");
+        };
+        assert_eq!(e.payload, 21);
+        a.set_peer(1, b.local_addr());
+        assert!(matches!(
+            a.send(0, &env(0, 1, 1, 22), 1 << 20),
+            SendOutcome::Acked(_)
+        ));
+        assert!(matches!(b.recv(1, 1 << 20), RecvOutcome::Delivered(_, _)));
     }
 
     #[test]

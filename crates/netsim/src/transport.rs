@@ -57,6 +57,29 @@
 //! trait with per-message deadlines and bounded exponential backoff with
 //! deterministic jitter; exhausted budgets surface as a [`FaultCause`] so a
 //! round resolves to [`RoundOutcome::Aborted`] instead of hanging.
+//!
+//! # Virtual deadlines
+//!
+//! A transport whose deadlines are *pure virtual-time filters* reports so
+//! through [`Transport::virtual_deadlines`]. For such a transport:
+//!
+//! * `send(now, env, d)` with `d >= now` has the same effects and the same
+//!   ack instant `at` for every `d`, and reports [`SendOutcome::Lost`]
+//!   instead of `Acked(at)` exactly when `at > d`;
+//! * `recv(node, d)` yields the earliest pending envelope when its arrival is
+//!   `<= d`, and otherwise times out without changing what a later call
+//!   yields.
+//!
+//! [`LocalChannelTransport`] and a [`FaultyTransport`] over one qualify. A
+//! blocking [`ChannelTransport`] or a `TcpTransport` does not: there a
+//! deadline is a wall-clock wait. Over a qualifying transport the robust
+//! layer computes a jittered deadline only when an un-jittered bound cannot
+//! decide the operation: a send whose first ack lands by
+//! `clock + unjittered(0)` and a receive whose envelope arrives by
+//! `clock + Σ_i unjittered(i)` hash nothing. Because every jittered timeout
+//! is at least its un-jittered one, those fast decisions are exactly the
+//! ones the full attempt loop would make, so outcomes, abort causes and
+//! virtual clocks are bit-identical either way.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -113,6 +136,11 @@ pub enum RecvOutcome {
 /// the threaded round driver, which shares one transport across per-node
 /// executors, additionally requires `Sync` (an explicit bound at that call
 /// site; [`ChannelTransport`] satisfies it).
+///
+/// Every deadline argument is a virtual instant. Whether it only filters
+/// results or also bounds a wall-clock wait is reported by
+/// [`Transport::virtual_deadlines`]; the module docs ("Virtual deadlines")
+/// give the contract a filtering transport keeps.
 pub trait Transport {
     /// Attempts to deliver `env`, returning the acknowledgement verdict.
     ///
@@ -137,12 +165,18 @@ pub trait Transport {
         None
     }
 
-    /// True when this transport can never delay, drop, duplicate, or
-    /// otherwise perturb a message, and never reports a node down. The
-    /// robust send/receive layer collapses to a single un-jittered attempt
-    /// over a quiet transport — the zero-fault hot path skips all
-    /// per-message fault and backoff hashing.
-    fn is_quiet(&self) -> bool {
+    /// True when deadlines are pure virtual-time filters (see the module
+    /// docs, "Virtual deadlines"): for every `ack_deadline >= now`, `send`
+    /// has the same effects and acknowledges at the same instant `at` as
+    /// with an open deadline, reporting [`SendOutcome::Lost`] exactly when
+    /// `at > ack_deadline`; and `recv` yields the earliest pending envelope
+    /// whenever its arrival is `<= deadline`, otherwise times out without
+    /// changing what a later call yields. The robust layer then decides most
+    /// operations with one call and no jitter hash.
+    ///
+    /// False by default: a transport whose deadline is a wall-clock wait
+    /// (the blocking [`ChannelTransport`], `TcpTransport`) is not a filter.
+    fn virtual_deadlines(&self) -> bool {
         false
     }
 }
@@ -165,7 +199,13 @@ fn pack(env: &Envelope) -> u64 {
 
 #[inline]
 fn fault_hash(salt: u64, tag: u64, env: &Envelope) -> u64 {
-    mix64(mix64(salt ^ tag) ^ pack(env))
+    keyed_hash(mix64(salt ^ tag), env)
+}
+
+/// [`fault_hash`] with its per-trial half `mix64(salt ^ tag)` precomputed.
+#[inline(always)]
+fn keyed_hash(key: u64, env: &Envelope) -> u64 {
+    mix64(key ^ pack(env))
 }
 
 const TAG_DROP: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -303,6 +343,7 @@ struct Mailbox {
 }
 
 impl Mailbox {
+    #[inline(always)]
     fn sync(&mut self, epoch: u64) {
         if self.epoch != epoch {
             self.epoch = epoch;
@@ -326,7 +367,7 @@ impl Mailbox {
     }
 
     /// Queues `env` for delivery at virtual instant `arrival`.
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, arrival: VTime, env: Envelope) {
         debug_assert!(env.src < u32::MAX as usize, "node id out of mailbox range");
         let order = self.order;
@@ -346,10 +387,33 @@ impl Mailbox {
         }
     }
 
-    /// One non-blocking delivery attempt for `node`'s mailbox; loops
-    /// internally past duplicates.
-    #[inline]
+    /// One non-blocking delivery attempt for `node`'s mailbox: the earliest
+    /// queued envelope if it arrives by `deadline`, skipping duplicates.
+    /// The single-message case is decided inline; the overflow scan stays
+    /// out of line so this stays small enough to inline into the hot path.
+    #[inline(always)]
     fn take(&mut self, node: NodeId, deadline: VTime) -> RecvOutcome {
+        if !self.queue.is_empty() {
+            return self.take_queued(node, deadline);
+        }
+        match self.slot {
+            Some(q) if q.arrival <= deadline => {
+                self.slot = None;
+                if self.mark_delivered(q.key()) {
+                    RecvOutcome::Delivered(q.envelope(node), q.arrival)
+                } else {
+                    // A duplicate, and nothing else is queued.
+                    RecvOutcome::TimedOut
+                }
+            }
+            _ => RecvOutcome::TimedOut,
+        }
+    }
+
+    /// [`Mailbox::take`] with the overflow queue in use; loops internally
+    /// past duplicates.
+    #[inline(never)]
+    fn take_queued(&mut self, node: NodeId, deadline: VTime) -> RecvOutcome {
         loop {
             // Fast path: a single queued message in the inline slot.
             if self.queue.is_empty() {
@@ -523,12 +587,6 @@ impl Transport for ChannelTransport {
     fn begin_trial(&self, _salt: u64) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn is_quiet(&self) -> bool {
-        // A raw channel perturbs nothing; a configured base latency delays
-        // (and therefore reorders against other transports), so it opts out.
-        self.latency == 0
-    }
 }
 
 /// Single-threaded channel transport: the mailbox semantics of
@@ -538,8 +596,10 @@ impl Transport for ChannelTransport {
 ///
 /// This is the scratch transport of the batched fault-sweep engine: each
 /// `qsim::pool` worker owns one exclusively, so the per-message atomic
-/// acquire/release pairs of the shared transport are pure overhead there —
-/// dropping them roughly halves the zero-fault round cost.
+/// acquire/release pairs of the shared transport are pure overhead there.
+/// Its deadlines are pure virtual-time filters
+/// ([`Transport::virtual_deadlines`]), so over it the robust layer decides
+/// a message with one inlined call and, in the common case, no hashing.
 pub struct LocalChannelTransport {
     boxes: Vec<std::cell::UnsafeCell<Mailbox>>,
     epoch: std::cell::Cell<u64>,
@@ -577,7 +637,8 @@ impl LocalChannelTransport {
 }
 
 impl Transport for LocalChannelTransport {
-    #[inline]
+    /// Queues `env` and acknowledges at `now`, whatever the deadline.
+    #[inline(always)]
     fn send(&self, now: VTime, env: &Envelope, _ack_deadline: VTime) -> SendOutcome {
         let mbox = self.mailbox(env.dst);
         mbox.sync(self.epoch.get());
@@ -585,7 +646,7 @@ impl Transport for LocalChannelTransport {
         SendOutcome::Acked(now)
     }
 
-    #[inline]
+    #[inline(always)]
     fn recv(&self, node: NodeId, deadline: VTime) -> RecvOutcome {
         let mbox = self.mailbox(node);
         mbox.sync(self.epoch.get());
@@ -596,7 +657,8 @@ impl Transport for LocalChannelTransport {
         self.epoch.set(self.epoch.get().wrapping_add(1));
     }
 
-    fn is_quiet(&self) -> bool {
+    #[inline(always)]
+    fn virtual_deadlines(&self) -> bool {
         true
     }
 }
@@ -738,19 +800,52 @@ pub struct FaultyTransport<T: Transport> {
     /// the zero-fault hot path tests this once per send instead of walking
     /// every plan field.
     quiet: bool,
+    /// The plan schedules partitions; without any, sends skip the scan.
+    partitioned: bool,
+    /// The plan can crash a node (scheduled or seeded); without either,
+    /// sends and [`Transport::node_down_until`] skip the crash scan.
+    crashing: bool,
     salt: AtomicU64,
+    /// `mix64(salt ^ tag)` for each tag of [`FAULT_TAGS`], set by
+    /// `begin_trial`, so each fault decision hashes the message once.
+    keys: [AtomicU64; FAULT_TAGS.len()],
 }
+
+/// The per-message fault tags whose keys [`FaultyTransport`] precomputes
+/// per trial, indexed by the `K_*` constants.
+const FAULT_TAGS: [u64; 6] = [
+    TAG_DROP,
+    TAG_ACK_DROP,
+    TAG_DUP,
+    TAG_DUP ^ TAG_LATENCY,
+    TAG_LATENCY,
+    TAG_ACK_LATENCY,
+];
+const K_DROP: usize = 0;
+const K_ACK_DROP: usize = 1;
+const K_DUP: usize = 2;
+const K_DUP_LATENCY: usize = 3;
+const K_LATENCY: usize = 4;
+const K_ACK_LATENCY: usize = 5;
 
 impl<T: Transport> FaultyTransport<T> {
     /// Wraps `inner` with the given fault schedule.
     pub fn new(inner: T, plan: FaultPlan) -> Self {
-        let quiet = plan.is_quiet();
         FaultyTransport {
             inner,
+            quiet: plan.is_quiet(),
+            partitioned: !plan.partitions.is_empty(),
+            crashing: !plan.crashes.is_empty() || plan.crash_rate > 0.0,
             plan,
-            quiet,
             salt: AtomicU64::new(0),
+            keys: Default::default(),
         }
+    }
+
+    /// The fault hash of `env` under the current trial's key `k`.
+    #[inline(always)]
+    fn hash(&self, k: usize, env: &Envelope) -> u64 {
+        keyed_hash(self.keys[k].load(Ordering::Relaxed), env)
     }
 
     /// The wrapped transport.
@@ -765,7 +860,9 @@ impl<T: Transport> FaultyTransport<T> {
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
-    #[inline]
+    /// The ack instant and every effect (drop, enqueue, duplicate) are
+    /// decided without reading `ack_deadline`, which only filters the ack.
+    #[inline(always)]
     fn send(&self, now: VTime, env: &Envelope, ack_deadline: VTime) -> SendOutcome {
         if self.quiet {
             return self.inner.send(now, env, ack_deadline);
@@ -773,47 +870,45 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         let salt = self.salt.load(Ordering::Relaxed);
         let plan = &self.plan;
 
-        if plan.edge_blocked(env.src, env.dst, now) {
+        if self.partitioned && plan.edge_blocked(env.src, env.dst, now) {
             return SendOutcome::Lost;
         }
-        if plan.node_down_until(salt, env.src, now).is_some() {
+        if self.crashing && plan.node_down_until(salt, env.src, now).is_some() {
             return SendOutcome::Lost;
         }
-        if plan.drop_rate > 0.0 && unit(fault_hash(salt, TAG_DROP, env)) < plan.drop_rate {
+        if plan.drop_rate > 0.0 && unit(self.hash(K_DROP, env)) < plan.drop_rate {
             return SendOutcome::Lost;
         }
 
         let jitter = if plan.latency_jitter == 0 {
             0
         } else {
-            fault_hash(salt, TAG_LATENCY, env) % (plan.latency_jitter + 1)
+            self.hash(K_LATENCY, env) % (plan.latency_jitter + 1)
         };
         let arrival = now.saturating_add(plan.latency_base).saturating_add(jitter);
 
         // Receiver down at delivery time: the message is lost in the crash.
-        if plan.node_down_until(salt, env.dst, arrival).is_some() {
+        if self.crashing && plan.node_down_until(salt, env.dst, arrival).is_some() {
             return SendOutcome::Lost;
         }
 
         self.inner.send(arrival, env, VTime::MAX);
 
-        if plan.duplicate_rate > 0.0 && unit(fault_hash(salt, TAG_DUP, env)) < plan.duplicate_rate {
-            let extra = 1 + fault_hash(salt, TAG_DUP ^ TAG_LATENCY, env)
-                % (plan.latency_base + plan.latency_jitter + 16);
+        if plan.duplicate_rate > 0.0 && unit(self.hash(K_DUP, env)) < plan.duplicate_rate {
+            let extra =
+                1 + self.hash(K_DUP_LATENCY, env) % (plan.latency_base + plan.latency_jitter + 16);
             self.inner
                 .send(arrival.saturating_add(extra), env, VTime::MAX);
         }
 
         // Acknowledgement path: same fault surface in the reverse direction.
-        if plan.ack_drop_rate > 0.0
-            && unit(fault_hash(salt, TAG_ACK_DROP, env)) < plan.ack_drop_rate
-        {
+        if plan.ack_drop_rate > 0.0 && unit(self.hash(K_ACK_DROP, env)) < plan.ack_drop_rate {
             return SendOutcome::Lost;
         }
         let ack_jitter = if plan.latency_jitter == 0 {
             0
         } else {
-            fault_hash(salt, TAG_ACK_LATENCY, env) % (plan.latency_jitter + 1)
+            self.hash(K_ACK_LATENCY, env) % (plan.latency_jitter + 1)
         };
         let acked = arrival
             .saturating_add(plan.latency_base)
@@ -824,27 +919,35 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         SendOutcome::Acked(acked)
     }
 
-    #[inline]
+    #[inline(always)]
     fn recv(&self, node: NodeId, deadline: VTime) -> RecvOutcome {
         self.inner.recv(node, deadline)
     }
 
     fn begin_trial(&self, salt: u64) {
         self.salt.store(salt, Ordering::Relaxed);
+        if !self.quiet {
+            for (key, tag) in self.keys.iter().zip(FAULT_TAGS) {
+                key.store(mix64(salt ^ tag), Ordering::Relaxed);
+            }
+        }
         self.inner.begin_trial(salt);
     }
 
     #[inline]
     fn node_down_until(&self, node: NodeId, now: VTime) -> Option<VTime> {
-        if self.quiet {
+        if !self.crashing {
             return None;
         }
         self.plan
             .node_down_until(self.salt.load(Ordering::Relaxed), node, now)
     }
 
-    fn is_quiet(&self) -> bool {
-        self.quiet && self.inner.is_quiet()
+    /// The decorator's own send is a filter (see [`FaultyTransport::send`])
+    /// and its receive delegates, so it filters exactly when `inner` does.
+    #[inline(always)]
+    fn virtual_deadlines(&self) -> bool {
+        self.inner.virtual_deadlines()
     }
 }
 
@@ -920,7 +1023,16 @@ impl RoundOutcome {
 /// Reliable send: retries `env` under `policy`, advancing `clock` through the
 /// virtual backoff schedule. Returns the number of attempts used (>= 1), or
 /// the cause after the budget is exhausted.
-#[inline]
+///
+/// Attempt `i` waits for its ack until `clock + timeout_for(i, h)`, where the
+/// jitter hash `h` costs three `mix64`. Over a transport with virtual
+/// deadlines ([`Transport::virtual_deadlines`]) the first attempt is sent
+/// with an open deadline and its ack accepted at once if it lands by
+/// `clock + unjittered(0)`, which never exceeds the jittered deadline; the
+/// hash is computed only when that bound cannot decide (a loss or a later
+/// ack), and then the exact attempt loop resumes from the original clock
+/// with the first attempt's outcome, so the result is the same either way.
+#[inline(always)]
 pub fn robust_send<T: Transport + ?Sized>(
     transport: &T,
     policy: &RetryPolicy,
@@ -928,22 +1040,42 @@ pub fn robust_send<T: Transport + ?Sized>(
     clock: &mut VTime,
     mut env: Envelope,
 ) -> Result<u32, FaultCause> {
-    // Quiet-transport fast path: the first attempt always acks, so skip the
-    // jitter hashing of the backoff schedule entirely. Falls through to the
-    // full retry loop (a deduplicated retransmission of attempt 0) if the
-    // transport loses a message despite advertising quiescence.
-    if transport.is_quiet() {
-        let deadline = clock.saturating_add(policy.base_timeout);
-        if let SendOutcome::Acked(at) = transport.send(*clock, &env, deadline) {
-            *clock = at.max(*clock);
-            return Ok(1);
+    if transport.virtual_deadlines() && policy.max_attempts > 0 {
+        env.attempt = 0;
+        let first = transport.send(*clock, &env, VTime::MAX);
+        if let SendOutcome::Acked(at) = first {
+            if at <= clock.saturating_add(policy.unjittered(0)) {
+                *clock = at.max(*clock);
+                return Ok(1);
+            }
         }
+        return send_attempts(transport, policy, salt, clock, env, Some(first));
     }
+    send_attempts(transport, policy, salt, clock, env, None)
+}
+
+/// The exact attempt loop of [`robust_send`]. `first` is attempt 0's outcome
+/// under an open deadline when the fast branch already sent it; it is then
+/// filtered against the jittered deadline instead of being sent again.
+#[inline(never)]
+fn send_attempts<T: Transport + ?Sized>(
+    transport: &T,
+    policy: &RetryPolicy,
+    salt: u64,
+    clock: &mut VTime,
+    mut env: Envelope,
+    mut first: Option<SendOutcome>,
+) -> Result<u32, FaultCause> {
     for attempt in 0..policy.max_attempts {
         env.attempt = attempt;
         let timeout = policy.timeout_for(attempt, fault_hash(salt, TAG_SEND_JITTER, &env));
         let deadline = clock.saturating_add(timeout);
-        match transport.send(*clock, &env, deadline) {
+        let outcome = match first.take() {
+            Some(SendOutcome::Acked(at)) if at > deadline => SendOutcome::Lost,
+            Some(outcome) => outcome,
+            None => transport.send(*clock, &env, deadline),
+        };
+        match outcome {
             SendOutcome::Acked(at) => {
                 *clock = at.max(*clock);
                 return Ok(attempt + 1);
@@ -963,7 +1095,17 @@ pub fn robust_send<T: Transport + ?Sized>(
 
 /// Reliable receive: extends the deadline through the same backoff schedule
 /// as [`robust_send`], so a retransmitted envelope still finds a listener.
-#[inline]
+///
+/// Attempt `i`'s deadline hashes a jitter draw (two `mix64`). Over a
+/// transport with virtual deadlines one receive bounded by
+/// `clock + Σ_i unjittered(i)` ([`RetryPolicy::unjittered_budget`]) decides
+/// without hashing whenever the earliest pending envelope arrives inside it:
+/// the bound never exceeds the last jittered deadline, the mailbox yields
+/// that same envelope at whichever attempt first admits it, and the clock
+/// ends at `max(arrival, clock)` on both paths. Otherwise the exact attempt
+/// loop runs from the original clock, so timeouts and their virtual
+/// instants are unchanged.
+#[inline(always)]
 pub fn robust_recv<T: Transport + ?Sized>(
     transport: &T,
     policy: &RetryPolicy,
@@ -971,17 +1113,25 @@ pub fn robust_recv<T: Transport + ?Sized>(
     node: NodeId,
     clock: &mut VTime,
 ) -> Result<Envelope, FaultCause> {
-    // Quiet-transport fast path mirroring `robust_send`: over a quiet
-    // transport every expected envelope is already queued (sequential
-    // driver) or arrives within one blocking wait, so the first un-jittered
-    // attempt succeeds; a miss falls through to the full backoff loop.
-    if transport.is_quiet() {
-        let deadline = clock.saturating_add(policy.base_timeout);
-        if let RecvOutcome::Delivered(env, at) = transport.recv(node, deadline) {
+    if transport.virtual_deadlines() && policy.max_attempts > 0 {
+        let bound = clock.saturating_add(policy.unjittered_budget());
+        if let RecvOutcome::Delivered(env, at) = transport.recv(node, bound) {
             *clock = at.max(*clock);
             return Ok(env);
         }
     }
+    recv_attempts(transport, policy, salt, node, clock)
+}
+
+/// The exact attempt loop of [`robust_recv`].
+#[inline(never)]
+fn recv_attempts<T: Transport + ?Sized>(
+    transport: &T,
+    policy: &RetryPolicy,
+    salt: u64,
+    node: NodeId,
+    clock: &mut VTime,
+) -> Result<Envelope, FaultCause> {
     for attempt in 0..policy.max_attempts {
         let h = mix64(salt ^ TAG_RECV_JITTER ^ ((node as u64) << 32) ^ attempt as u64);
         let deadline = clock.saturating_add(policy.timeout_for(attempt, h));
